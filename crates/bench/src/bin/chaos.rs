@@ -16,9 +16,9 @@
 //!    client-side from real samples (no sentinel values by construction)
 //!    and recorded in the summary.
 //! 5. **Degraded replies are bit-identical** to
-//!    `ModelBundle::predict_degraded` (the §3.2 binary-query path): every
-//!    degraded value observed during the soak is string-compared against
-//!    the precomputed expected output, and a deterministic post-soak check
+//!    `ModelBundle::predict_binary` (the §3.2 binary tier): every degraded
+//!    value observed during the soak is bit-compared against the
+//!    precomputed expected output, and a deterministic post-soak check
 //!    forces one more via an injected worker stall.
 //! 6. **Store integrity** — after the fault storm clears, every store key
 //!    passes `audit` and is still readable: faulted publications rolled
@@ -26,26 +26,21 @@
 //!
 //! ```text
 //! cargo run -p reghd-bench --release --bin chaos \
-//!     [-- --test | --duration-secs N] [--proto line|rgnp]
+//!     [-- --test | --duration-secs N]
 //! ```
 //!
-//! `--test` runs a short CI-sized soak (~3 s); the default is 15 s.
-//! `--proto rgnp` runs the identical storm against the binary RGNP
-//! front-end (`reghd-net`) instead of the legacy line protocol — same
-//! invariants, same gates, so both serving paths carry the survivability
-//! contract. The summary is written to `results/chaos.json`; the process
-//! exits non-zero if any invariant above is violated, so CI can gate on
-//! the exit code.
+//! The storm runs against the RGNP front-end (`reghd-net`). `--test` runs
+//! a short CI-sized soak (~3 s); the default is 15 s. The summary is
+//! written to `results/chaos.json`; the process exits non-zero if any
+//! invariant above is violated, so CI can gate on the exit code.
 
 use reghd_bench::report::banner;
 use reghd_net::client::PredictReply;
-use reghd_net::{serve_rgnp, NetConfig, NetServerHandle, RgnpClient};
+use reghd_net::{serve_rgnp, NetConfig, RgnpClient};
 use reghd_serve::registry::ModelRegistry;
-use reghd_serve::server::{serve, ServerConfig, ServerHandle};
 use reghd_serve::{bundle, BatcherConfig, FaultInjector, ShedConfig};
 use reghd_store::{ModelStore, StoreConfig, StoreFaultInjector};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,38 +50,20 @@ const STORE_KEYS: usize = 8;
 const SOAK_CLIENTS: usize = 16;
 const OVERLOAD_FACTOR: f64 = 2.0;
 
-/// Which serving front-end the storm targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Proto {
-    Line,
-    Rgnp,
-}
-
-impl Proto {
-    fn name(self) -> &'static str {
-        match self {
-            Proto::Line => "line",
-            Proto::Rgnp => "rgnp",
-        }
-    }
-}
-
 struct Args {
     soak: Duration,
     baseline: Duration,
-    proto: Proto,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         soak: Duration::from_secs(15),
         baseline: Duration::from_secs(2),
-        proto: Proto::Line,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let usage = || -> ! {
-        eprintln!("usage: chaos [--test | --duration-secs N] [--proto line|rgnp]");
+        eprintln!("usage: chaos [--test | --duration-secs N]");
         std::process::exit(2);
     };
     while i < argv.len() {
@@ -103,14 +80,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 });
                 args.soak = Duration::from_secs(secs.max(1));
-            }
-            "--proto" => {
-                i += 1;
-                args.proto = match argv.get(i).map(String::as_str) {
-                    Some("line") => Proto::Line,
-                    Some("rgnp") => Proto::Rgnp,
-                    _ => usage(),
-                };
             }
             _ => usage(),
         }
@@ -130,136 +99,10 @@ fn toy_dataset() -> datasets::Dataset {
     datasets::Dataset::new("chaos", features, targets)
 }
 
-fn row_to_csv(row: &[f32]) -> String {
-    row.iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        stream.set_nodelay(true)?;
-        Ok(Self {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
-    }
-
-    /// One request/reply round trip; `None` on any transport failure (a
-    /// lost reply — counted separately and required to be zero).
-    fn request(&mut self, line: &str) -> Option<String> {
-        writeln!(self.writer, "{line}").ok()?;
-        self.writer.flush().ok()?;
-        let mut reply = String::new();
-        match self.reader.read_line(&mut reply) {
-            Ok(n) if n > 0 => Some(reply.trim_end().to_string()),
-            _ => None,
-        }
-    }
-}
-
-/// Protocol-switchable client: RGNP replies are rendered back into the
-/// line protocol's reply strings, so every tally/bit-identity check below
-/// is shared verbatim between the two front-ends (f32's `Display` is
-/// shortest-roundtrip, so the string compare stays bit-exact).
-enum ChaosClient {
-    Line(Client),
-    Rgnp(Box<RgnpClient>),
-}
-
-impl ChaosClient {
-    fn connect(addr: SocketAddr, proto: Proto) -> std::io::Result<Self> {
-        match proto {
-            Proto::Line => Client::connect(addr).map(ChaosClient::Line),
-            Proto::Rgnp => {
-                let mut c = RgnpClient::connect(&addr.to_string())?;
-                c.set_timeout(Some(Duration::from_secs(5)))?;
-                Ok(ChaosClient::Rgnp(Box::new(c)))
-            }
-        }
-    }
-
-    /// One predict round trip, normalised to the line protocol's reply
-    /// grammar; `None` on transport failure.
-    fn predict(&mut self, model: &str, row: &[f32]) -> Option<String> {
-        match self {
-            ChaosClient::Line(c) => c.request(&format!("predict {model} {}", row_to_csv(row))),
-            ChaosClient::Rgnp(c) => match c.predict(model, row) {
-                Ok(PredictReply::Ok(y)) => Some(format!("ok {y}")),
-                Ok(PredictReply::Degraded(y)) => Some(format!("degraded {y}")),
-                Ok(PredictReply::Busy) => Some("busy".to_string()),
-                Ok(PredictReply::Draining) => Some("draining".to_string()),
-                Ok(PredictReply::Err(m)) => Some(format!("err {m}")),
-                Err(_) => None,
-            },
-        }
-    }
-
-    /// Server-side counters, one `name=value` line per stat family. The
-    /// RGNP stats payload is byte-identical to the line protocol's body
-    /// (both render through `render_stats`), minus the `ok` terminator.
-    fn stats_lines(&mut self) -> Vec<String> {
-        match self {
-            ChaosClient::Line(c) => {
-                writeln!(c.writer, "stats").expect("stats write");
-                c.writer.flush().expect("stats flush");
-                let mut lines = Vec::new();
-                loop {
-                    let mut line = String::new();
-                    c.reader.read_line(&mut line).expect("stats read");
-                    let line = line.trim_end().to_string();
-                    let done = line == "ok";
-                    lines.push(line);
-                    if done {
-                        return lines;
-                    }
-                }
-            }
-            ChaosClient::Rgnp(c) => c
-                .stats()
-                .expect("stats request")
-                .lines()
-                .map(str::to_string)
-                .collect(),
-        }
-    }
-}
-
-/// Protocol-switchable server handle.
-enum ChaosServer {
-    Line(ServerHandle),
-    Rgnp(NetServerHandle),
-}
-
-impl ChaosServer {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            ChaosServer::Line(h) => h.local_addr(),
-            ChaosServer::Rgnp(h) => h.local_addr(),
-        }
-    }
-
-    fn injector(&self) -> Arc<FaultInjector> {
-        match self {
-            ChaosServer::Line(h) => h.injector(),
-            ChaosServer::Rgnp(h) => h.injector(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            ChaosServer::Line(h) => drop(h.shutdown()),
-            ChaosServer::Rgnp(h) => drop(h.shutdown()),
-        }
-    }
+fn connect(addr: SocketAddr) -> std::io::Result<RgnpClient> {
+    let mut c = RgnpClient::connect(&addr.to_string())?;
+    c.set_timeout(Some(Duration::from_secs(5)))?;
+    Ok(c)
 }
 
 /// Per-client tally of one load phase.
@@ -272,8 +115,8 @@ struct Tally {
     draining: u64,
     errs: u64,
     lost: u64,
-    /// Degraded replies whose value text disagreed with the precomputed
-    /// `predict_degraded` output for that row (must end at 0).
+    /// Degraded replies whose value disagreed with the precomputed
+    /// `predict_binary` output for that row (must end at 0).
     degraded_mismatches: u64,
     /// Latencies (µs) of answered (`ok` or `degraded`) requests.
     answered_us: Vec<u64>,
@@ -294,28 +137,25 @@ impl Tally {
 
     /// Classifies one reply for the request of `row_idx` (an index into
     /// the expected-degraded table, or `usize::MAX` for store-backed keys
-    /// whose degraded value is not cross-checked).
-    fn observe(&mut self, reply: Option<&str>, us: u64, row_idx: usize, expected: &[String]) {
+    /// whose degraded value is not cross-checked). `None` is a lost reply.
+    fn observe(&mut self, reply: Option<PredictReply>, us: u64, row_idx: usize, expected: &[f32]) {
         self.sent += 1;
-        let Some(reply) = reply else {
-            self.lost += 1;
-            return;
-        };
-        if reply.strip_prefix("ok ").is_some() {
-            self.ok += 1;
-            self.answered_us.push(us);
-        } else if let Some(v) = reply.strip_prefix("degraded ") {
-            self.degraded += 1;
-            self.answered_us.push(us);
-            if row_idx != usize::MAX && v != expected[row_idx] {
-                self.degraded_mismatches += 1;
+        match reply {
+            None => self.lost += 1,
+            Some(PredictReply::Ok(_)) => {
+                self.ok += 1;
+                self.answered_us.push(us);
             }
-        } else if reply == "busy" {
-            self.busy += 1;
-        } else if reply == "draining" {
-            self.draining += 1;
-        } else {
-            self.errs += 1;
+            Some(PredictReply::Degraded(y)) => {
+                self.degraded += 1;
+                self.answered_us.push(us);
+                if row_idx != usize::MAX && y.to_bits() != expected[row_idx].to_bits() {
+                    self.degraded_mismatches += 1;
+                }
+            }
+            Some(PredictReply::Busy) => self.busy += 1,
+            Some(PredictReply::Draining) => self.draining += 1,
+            Some(PredictReply::Err(_)) => self.errs += 1,
         }
     }
 }
@@ -331,13 +171,7 @@ fn percentile(sorted_us: &[u64], p: f64) -> u64 {
 /// Closed-loop baseline: `n` clients hammer full-precision predicts for
 /// `dur`; returns achieved requests/second (the capacity estimate the
 /// overload factor multiplies).
-fn measure_capacity(
-    addr: SocketAddr,
-    proto: Proto,
-    rows: &[Vec<f32>],
-    n: usize,
-    dur: Duration,
-) -> f64 {
+fn measure_capacity(addr: SocketAddr, rows: &[Vec<f32>], n: usize, dur: Duration) -> f64 {
     let done = Arc::new(AtomicBool::new(false));
     let total = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..n)
@@ -346,12 +180,12 @@ fn measure_capacity(
             let done = done.clone();
             let total = total.clone();
             std::thread::spawn(move || {
-                let mut client = ChaosClient::connect(addr, proto).expect("baseline connect");
+                let mut client = connect(addr).expect("baseline connect");
                 let mut i = c;
                 while !done.load(Ordering::Relaxed) {
                     let row = &rows[i % rows.len()];
                     i += 1;
-                    if client.predict("toy", row).is_some() {
+                    if client.predict("toy", row).is_ok() {
                         total.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -372,15 +206,14 @@ fn measure_capacity(
 #[allow(clippy::too_many_arguments)]
 fn soak_client(
     addr: SocketAddr,
-    proto: Proto,
     rows: Vec<Vec<f32>>,
-    expected_degraded: Vec<String>,
+    expected_degraded: Vec<f32>,
     interval: Duration,
     end: Instant,
     client_id: usize,
 ) -> Tally {
     let mut tally = Tally::default();
-    let mut client = match ChaosClient::connect(addr, proto) {
+    let mut client = match connect(addr) {
         Ok(c) => c,
         Err(_) => {
             // Connection-cap refusal at connect time: treat the whole
@@ -416,12 +249,12 @@ fn soak_client(
             ("toy".to_string(), idx)
         };
         let t0 = Instant::now();
-        let reply = client.predict(&model, &rows[idx]);
+        let reply = client.predict(&model, &rows[idx]).ok();
         let us = t0.elapsed().as_micros() as u64;
         let reconnect = reply.is_none();
-        tally.observe(reply.as_deref(), us, check_idx, &expected_degraded);
+        tally.observe(reply, us, check_idx, &expected_degraded);
         if reconnect {
-            match ChaosClient::connect(addr, proto) {
+            match connect(addr) {
                 Ok(c) => client = c,
                 Err(_) => break,
             }
@@ -511,14 +344,12 @@ fn main() {
         "ISSUE 7 acceptance: availability ≥ 99%, zero panics, expired shed, bounded p99",
     );
     let args = parse_args();
-    let proto = args.proto;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let simd = hdc::simd::active_label();
     let workers = cores.clamp(2, 4);
     println!(
-        "cores {cores}, simd {simd}, workers {workers}, proto {}, soak {:?}, \
+        "cores {cores}, simd {simd}, workers {workers}, soak {:?}, \
          overload {OVERLOAD_FACTOR}×",
-        proto.name(),
         args.soak
     );
 
@@ -526,12 +357,9 @@ fn main() {
     let ds = toy_dataset();
     let (bundle, _) = bundle::train(&ds, 256, 4, 4, SEED, false).expect("train toy bundle");
     let bytes = bundle.to_bytes().expect("serialise bundle");
-    let expected_degraded: Vec<String> = bundle
-        .predict_degraded(&ds.features)
-        .expect("degraded baseline")
-        .into_iter()
-        .map(|v| v.to_string())
-        .collect();
+    let expected_degraded: Vec<f32> = bundle
+        .predict_binary(&ds.features)
+        .expect("degraded baseline");
 
     let dir = std::env::temp_dir().join(format!("reghd-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -548,57 +376,34 @@ fn main() {
     registry.load_bytes("toy", &bytes).expect("load toy");
     registry.attach_resolver(store.clone());
 
-    // Same overload posture on either front-end: tight reply timeout,
-    // 30 ms deadline, bounded queue, aggressive shed thresholds, and a
-    // connection cap just above the fleet size.
-    let batcher = BatcherConfig {
-        queue_cap: 512,
-        ..BatcherConfig::default()
-    };
-    let shed = Some(ShedConfig {
-        demote_p95: Duration::from_millis(10),
-        promote_p95: Duration::from_millis(5),
-        ..ShedConfig::default()
-    });
-    let handle = match proto {
-        Proto::Line => ChaosServer::Line(
-            serve(
-                ServerConfig {
-                    addr: "127.0.0.1:0".to_string(),
-                    workers,
-                    reply_timeout: Duration::from_millis(250),
-                    read_timeout: Duration::from_secs(30),
-                    deadline: Some(Duration::from_millis(30)),
-                    max_connections: SOAK_CLIENTS + workers + 8,
-                    batcher,
-                    shed,
-                    ..ServerConfig::default()
-                },
-                registry.clone(),
-            )
-            .expect("start server"),
-        ),
-        Proto::Rgnp => ChaosServer::Rgnp(
-            serve_rgnp(
-                NetConfig {
-                    addr: "127.0.0.1:0".to_string(),
-                    workers,
-                    reply_timeout: Duration::from_millis(250),
-                    deadline: Some(Duration::from_millis(30)),
-                    max_connections: SOAK_CLIENTS + workers + 8,
-                    batcher,
-                    shed,
-                    ..NetConfig::default()
-                },
-                registry.clone(),
-            )
-            .expect("start RGNP server"),
-        ),
-    };
+    // Overload posture: tight reply timeout, 30 ms deadline, bounded
+    // queue, aggressive shed thresholds, and a connection cap just above
+    // the fleet size.
+    let handle = serve_rgnp(
+        NetConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers,
+            reply_timeout: Duration::from_millis(250),
+            deadline: Some(Duration::from_millis(30)),
+            max_connections: SOAK_CLIENTS + workers + 8,
+            batcher: BatcherConfig {
+                queue_cap: 512,
+                ..BatcherConfig::default()
+            },
+            shed: Some(ShedConfig {
+                demote_p95: Duration::from_millis(10),
+                promote_p95: Duration::from_millis(5),
+                ..ShedConfig::default()
+            }),
+            ..NetConfig::default()
+        },
+        registry.clone(),
+    )
+    .expect("start RGNP server");
     let addr = handle.local_addr();
 
     // ---- Baseline capacity (clean, closed-loop, full precision). ----
-    let capacity = measure_capacity(addr, proto, &ds.features, workers, args.baseline);
+    let capacity = measure_capacity(addr, &ds.features, workers, args.baseline);
     let offered = capacity * OVERLOAD_FACTOR;
     println!("baseline capacity {capacity:.0} req/s → offering {offered:.0} req/s");
 
@@ -627,7 +432,7 @@ fn main() {
                 .map(|c| {
                     let rows = ds.features.clone();
                     let expected = expected_degraded.clone();
-                    scope.spawn(move || soak_client(addr, proto, rows, expected, interval, end, c))
+                    scope.spawn(move || soak_client(addr, rows, expected, interval, end, c))
                 })
                 .collect();
             let mut tally = Tally::default();
@@ -641,7 +446,7 @@ fn main() {
 
     // ---- Post-soak: deterministic degraded bit-identity check. ----
     std::thread::sleep(Duration::from_millis(300)); // drain the spike tail
-    let mut admin = ChaosClient::connect(addr, proto).expect("admin connect");
+    let mut admin = connect(addr).expect("admin connect");
     handle
         .injector()
         .set_worker_delay(Duration::from_millis(400));
@@ -649,7 +454,7 @@ fn main() {
         .predict("toy", &ds.features[0])
         .expect("forced degraded reply");
     handle.injector().clear();
-    let forced_matches = forced == format!("degraded {}", expected_degraded[0]);
+    let forced_matches = matches!(forced, PredictReply::Degraded(y) if y.to_bits() == expected_degraded[0].to_bits());
     std::thread::sleep(Duration::from_millis(500)); // flush the stalled batch
 
     // ---- Post-soak: store integrity after the fault storm. ----
@@ -662,7 +467,8 @@ fn main() {
     }
 
     // ---- Collect server-side counters. ----
-    let lines = admin.stats_lines();
+    let stats = admin.stats().expect("stats request");
+    let lines: Vec<&str> = stats.lines().collect();
     let (mut panics, mut expired, mut shed) = (0u64, 0u64, 0u64);
     for l in lines.iter().filter(|l| l.starts_with("stat ")) {
         panics += stat_field(l, "panics");
@@ -731,7 +537,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"soak_secs\": {:.1},\n  \"proto\": \"{}\",\n  \"cores\": {cores},\n  \
+        "{{\n  \"soak_secs\": {:.1},\n  \"cores\": {cores},\n  \
          \"simd\": \"{simd}\",\n  \"workers\": {workers},\n  \
          \"clients\": {SOAK_CLIENTS},\n  \"baseline_rps\": {capacity:.0},\n  \
          \"offered_rps\": {offered:.0},\n  \"overload_factor\": {OVERLOAD_FACTOR:.1},\n  \
@@ -749,7 +555,6 @@ fn main() {
          \"breaker_trips\": {breaker_trips},\n  \
          \"degraded_mismatches\": {},\n  \"forced_degraded_bit_identical\": {}\n}}\n",
         args.soak.as_secs_f64(),
-        proto.name(),
         storm.sent,
         storm.ok,
         storm.degraded,
@@ -789,7 +594,7 @@ fn main() {
     }
     if storm.degraded_mismatches != 0 || !forced_matches {
         violations.push(format!(
-            "degraded replies diverged from predict_degraded ({} in-soak, forced ok={})",
+            "degraded replies diverged from predict_binary ({} in-soak, forced ok={})",
             storm.degraded_mismatches, forced_matches
         ));
     }

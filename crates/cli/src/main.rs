@@ -12,7 +12,7 @@
 //! reghd-cli eval    --csv data.csv --model model.rghd [--trig exact|fast]
 //! reghd-cli predict --csv data.csv --model model.rghd [--trig exact|fast]
 //! reghd-cli serve   --model model.rghd --addr 127.0.0.1:7878
-//!                   [--proto rgnp|line] [--name NAME] [--workers N] [--threads N]
+//!                   [--name NAME] [--workers N] [--threads N]
 //!                   [--trig exact|fast] [--max-batch N] [--max-wait-us N]
 //!                   [--queue-cap N] [--max-conns N] [--deadline-us N]
 //!                   [--shed-p95-us N] [--pollers N] [--max-frame N]
@@ -20,8 +20,8 @@
 //!                   [--sweep-interval-ms N]
 //! reghd-cli loadgen --addr HOST:PORT --model NAME [--row f32,f32,...]
 //!                   [--conns N] [--rate RPS] [--secs N] [--json PATH]
-//! reghd-cli inject  --addr HOST:PORT --kind bitflip|delay|kill|panic|garble|clear
-//!                   [--model NAME] [--rate R] [--seed N] [--ms N] [--n N]
+//! reghd-cli ctl     --addr HOST:PORT --cmd "<stats|list|train-status|ping|
+//!                   predict MODEL f32,…|reload MODEL PATH|sweep|inject FAULT …>"
 //! ```
 //!
 //! CSV format: numeric columns, optional header, **last column is the
@@ -35,8 +35,8 @@
 //! publication into an in-process serving registry (`--publish-to` +
 //! `--serve-addr`). Sources: `drift:<abrupt|gradual|incremental>:<features>:
 //! <period>` (synthetic non-stationary stream), `csv:<path>` (replay), and
-//! `tcp:<host>:<port>:<features>` (line-protocol feed, one CSV row per
-//! line, target last).
+//! `tcp:<host>:<port>:<features>` (a TCP feed of CSV rows, one per line,
+//! target last).
 //!
 //! `--threads N` sets row-parallelism for batch encoding/prediction
 //! (`0`, the default, uses all available cores; `1` is sequential).
@@ -49,16 +49,15 @@
 //! training-time arithmetic bit for bit; canary replays always force exact
 //! mode, so bundle integrity checks are unaffected by this knob.
 //!
-//! `serve` defaults to the **RGNP** binary protocol (`docs/PROTOCOL.md`):
-//! an epoll poller pool multiplexing pipelined length-prefixed frames
-//! (`reghd-net`). `serve --proto line` keeps the legacy line-oriented
-//! protocol implemented in `reghd-serve`; both front-ends answer
-//! bit-identically. `loadgen` drives a running RGNP server open-loop at a
-//! fixed offered rate and reports latency quantiles. `serve --canary`
-//! replays the bundle's embedded canary rows before binding the socket;
-//! `serve --chaos` enables the `inject` protocol command so a running
-//! server can be fault-tested, and `inject` is the matching client that
-//! arms one fault (see the README's Fault tolerance section).
+//! `serve` speaks the **RGNP** binary protocol (`docs/PROTOCOL.md`): an
+//! epoll poller pool multiplexing pipelined length-prefixed frames
+//! (`reghd-net`, Linux x86_64/aarch64). `loadgen` drives a running server
+//! open-loop at a fixed offered rate and reports latency quantiles.
+//! `serve --canary` replays the bundle's embedded canary rows before
+//! binding the socket; `serve --chaos` enables the `inject` admin verb so
+//! a running server can be fault-tested. `ctl` is the operator client: it
+//! sends one command line and prints the reply (`ok …`, `degraded …`,
+//! `busy`, `draining` or `err …`; multi-line bodies end with `ok`).
 
 use reghd_serve::bundle::{self, ModelBundle};
 use std::process::ExitCode;
@@ -76,7 +75,7 @@ fn usage() -> ! {
          reghd-cli predict --csv <data.csv> --model <model.rghd> [--trig exact|fast] \
          [--tier full|binary] [--simd auto|avx2|neon|scalar]\n  \
          reghd-cli serve   [--model <model.rghd>] [--store DIR] [--name NAME] [--addr HOST:PORT] \
-         [--proto rgnp|line] [--workers N] [--threads N] [--trig exact|fast] \
+         [--workers N] [--threads N] [--trig exact|fast] \
          [--simd auto|avx2|neon|scalar] [--max-batch N] \
          [--max-wait-us N] [--queue-cap N] [--max-conns N] [--deadline-us N] [--shed-p95-us N] \
          [--pollers N] [--max-frame N] [--write-budget N] \
@@ -86,8 +85,8 @@ fn usage() -> ! {
          reghd-cli store   <init|ingest|stats|compact|predict> --dir DIR \
          [--shards N] [--hot-budget-mb N] [--model model.rghd] [--key KEY] [--copies N] \
          [--csv data.csv]\n  \
-         reghd-cli inject  --addr <HOST:PORT> --kind <bitflip|delay|kill|panic|garble|clear> \
-         [--model NAME] [--rate R] [--seed N] [--ms N] [--n N]"
+         reghd-cli ctl     --addr <HOST:PORT> --cmd \"<stats|list|train-status|ping|\
+         predict MODEL ROW|reload MODEL PATH|sweep|inject FAULT ...>\""
     );
     std::process::exit(2);
 }
@@ -220,7 +219,7 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&args),
         "loadgen" => cmd_loadgen(&args),
         "store" => cmd_store(argv.get(1).map(String::as_str).unwrap_or(""), &args),
-        "inject" => cmd_inject(&args),
+        "ctl" => cmd_ctl(&args),
         _ => {
             eprintln!("unknown command: {cmd}");
             usage();
@@ -366,8 +365,8 @@ fn open_source(spec: &SourceSpec, seed: u64) -> Result<Box<dyn reghd_train::Samp
 }
 
 fn cmd_train_stream(args: &Args) -> Result<(), String> {
+    use reghd_net::{serve_rgnp, NetConfig};
     use reghd_serve::registry::ModelRegistry;
-    use reghd_serve::server::{serve, ServerConfig};
     use reghd_train::{
         DriftAction, EwmaDetector, PageHinkley, PublishTarget, Trainer, TrainerConfig,
     };
@@ -424,12 +423,12 @@ fn cmd_train_stream(args: &Args) -> Result<(), String> {
     }
     let server = match args.get("serve-addr") {
         Some(addr) => {
-            let handle = serve(
-                ServerConfig {
+            let handle = serve_rgnp(
+                NetConfig {
                     addr: addr.to_string(),
                     threads,
                     train_status: Some(trainer.status()),
-                    ..ServerConfig::default()
+                    ..NetConfig::default()
                 },
                 registry.clone(),
             )
@@ -603,9 +602,9 @@ fn cmd_store(action: &str, args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    use reghd_net::{serve_rgnp, NetConfig};
     use reghd_serve::batcher::BatcherConfig;
     use reghd_serve::registry::ModelRegistry;
-    use reghd_serve::server::{serve, ServerConfig};
     use reghd_serve::shed::ShedConfig;
     use std::sync::Arc;
     use std::time::Duration;
@@ -698,85 +697,41 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     } else {
         threads.to_string()
     };
-    match args.get("proto").unwrap_or("rgnp") {
-        "rgnp" => {
-            use reghd_net::{serve_rgnp, NetConfig};
-            if chaos {
-                return Err("--chaos (the inject command) needs the line protocol; \
-                     add --proto line"
-                    .to_string());
-            }
-            if sweep_interval_ms > 0 {
-                return Err(
-                    "--sweep-interval-ms needs the line protocol; add --proto line".to_string(),
-                );
-            }
-            let cfg = NetConfig {
-                addr,
-                pollers: args.parse_num("pollers", 0),
-                workers,
-                threads,
-                trig,
-                batcher,
-                max_connections: max_conns,
-                deadline,
-                shed,
-                max_frame: args.parse_num("max-frame", NetConfig::default().max_frame),
-                write_budget: args.parse_num("write-budget", NetConfig::default().write_budget),
-                ..NetConfig::default()
-            };
-            let handle = serve_rgnp(cfg, registry).map_err(|e| e.to_string())?;
-            println!(
-                "serving RGNP on {} with {workers} workers (threads={threads_label}, \
-                 max_batch={max_batch}, max_wait={max_wait_us}µs)",
-                handle.local_addr(),
-            );
-            println!(
-                "protocol: RGNP v1 binary frames (see docs/PROTOCOL.md); \
-                      drive with `reghd-cli loadgen`"
-            );
-            // Serve until the process is killed; Ctrl-C terminates the listener.
-            loop {
-                std::thread::sleep(Duration::from_secs(60));
-            }
-        }
-        "line" => {
-            let cfg = ServerConfig {
-                addr,
-                workers,
-                threads,
-                trig,
-                batcher,
-                max_connections: max_conns,
-                deadline,
-                shed,
-                sweep_interval: (sweep_interval_ms > 0)
-                    .then(|| Duration::from_millis(sweep_interval_ms)),
-                enable_inject: chaos,
-                ..ServerConfig::default()
-            };
-            let handle = serve(cfg, registry).map_err(|e| e.to_string())?;
-            println!(
-                "serving on {} with {workers} workers (threads={threads_label}, \
-                 max_batch={max_batch}, max_wait={max_wait_us}µs)",
-                handle.local_addr(),
-            );
-            if chaos {
-                println!("chaos mode: the `inject` protocol command is ENABLED");
-            }
-            if sweep_interval_ms > 0 {
-                println!("integrity sweep every {sweep_interval_ms}ms");
-            }
-            println!(
-                "protocol: predict <model> <f32,f32,...> | reload <model> <path> | sweep | \
-                 stats | health"
-            );
-            // Serve until the process is killed; Ctrl-C terminates the listener.
-            loop {
-                std::thread::sleep(Duration::from_secs(60));
-            }
-        }
-        other => Err(format!("unknown protocol {other:?} (expected rgnp|line)")),
+    let cfg = NetConfig {
+        addr,
+        pollers: args.parse_num("pollers", 0),
+        workers,
+        threads,
+        trig,
+        batcher,
+        max_connections: max_conns,
+        deadline,
+        shed,
+        max_frame: args.parse_num("max-frame", NetConfig::default().max_frame),
+        write_budget: args.parse_num("write-budget", NetConfig::default().write_budget),
+        sweep_interval: (sweep_interval_ms > 0).then(|| Duration::from_millis(sweep_interval_ms)),
+        enable_inject: chaos,
+        ..NetConfig::default()
+    };
+    let handle = serve_rgnp(cfg, registry).map_err(|e| e.to_string())?;
+    println!(
+        "serving RGNP on {} with {workers} workers (threads={threads_label}, \
+         max_batch={max_batch}, max_wait={max_wait_us}µs)",
+        handle.local_addr(),
+    );
+    if chaos {
+        println!("chaos mode: the `inject` admin verb is ENABLED");
+    }
+    if sweep_interval_ms > 0 {
+        println!("integrity sweep every {sweep_interval_ms}ms");
+    }
+    println!(
+        "protocol: RGNP v1 binary frames (see docs/PROTOCOL.md); drive with \
+         `reghd-cli ctl` or `reghd-cli loadgen`"
+    );
+    // Serve until the process is killed; Ctrl-C terminates the listener.
+    loop {
+        std::thread::sleep(Duration::from_secs(60));
     }
 }
 
@@ -876,65 +831,70 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the protocol line for one `inject` invocation, or an error for
-/// a bad combination of flags. Pure so the flag → line mapping is testable
-/// without a server.
-fn inject_line(args: &Args) -> Result<String, String> {
-    let kind = args.require("kind");
-    match kind {
-        "bitflip" => {
-            let model = args.require("model");
-            let rate: f64 = args.parse_num("rate", 0.05);
-            let seed: u64 = args.parse_num("seed", 0);
-            if !(0.0..=1.0).contains(&rate) {
-                return Err("--rate must be in [0,1]".to_string());
-            }
-            Ok(format!("inject bitflip {model} {rate} {seed}"))
-        }
-        "delay" => {
-            let ms: u64 = args.parse_num("ms", 0);
-            Ok(format!("inject delay {ms}"))
-        }
-        "kill" | "panic" => {
-            let n: usize = args.parse_num("n", 1);
-            Ok(format!("inject {kind} {n}"))
-        }
-        "garble" => {
-            let rate: f64 = args.parse_num("rate", 0.0);
-            if !(0.0..=1.0).contains(&rate) {
-                return Err("--rate must be in [0,1]".to_string());
-            }
-            Ok(format!("inject garble {rate}"))
-        }
-        "clear" => Ok("inject clear".to_string()),
-        other => Err(format!(
-            "unknown fault kind {other} (expected bitflip|delay|kill|panic|garble|clear)"
-        )),
+/// Renders a text reply the way `ctl` prints it: `ok <text>` for one
+/// line, the body followed by `ok` for several, `err <msg>` on refusal.
+/// Returns the rendering and whether the server accepted the command.
+fn render_text_reply(reply: Result<String, String>) -> (String, bool) {
+    match reply {
+        Ok(text) if text.is_empty() => ("ok".to_string(), true),
+        Ok(text) if text.contains('\n') => (format!("{text}\nok"), true),
+        Ok(text) => (format!("ok {text}"), true),
+        Err(msg) => (format!("err {msg}"), false),
     }
 }
 
-fn cmd_inject(args: &Args) -> Result<(), String> {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
+/// Sends one `ctl` command line: `stats`, `list`, `train-status`, `ping`
+/// and `predict <model> <f32,…>` through their own opcodes, everything
+/// else as an admin verb.
+fn run_ctl(client: &mut reghd_net::RgnpClient, cmd: &str) -> std::io::Result<(String, bool)> {
+    use reghd_net::client::PredictReply;
+    let mut words = cmd.split_whitespace();
+    Ok(match words.next() {
+        Some("stats") => render_text_reply(Ok(client.stats()?)),
+        Some("list") => render_text_reply(Ok(client.list()?)),
+        Some("train-status") => render_text_reply(client.train_status()?),
+        Some("ping") => {
+            client.ping()?;
+            ("ok".to_string(), true)
+        }
+        Some("predict") => {
+            let (Some(model), Some(csv)) = (words.next(), words.next()) else {
+                return Ok((
+                    "err usage: predict <model> <f32,f32,...>".to_string(),
+                    false,
+                ));
+            };
+            let row = match parse_row(csv) {
+                Ok(row) => row,
+                Err(msg) => return Ok((format!("err {msg}"), false)),
+            };
+            match client.predict(model, &row)? {
+                PredictReply::Ok(y) => (format!("ok {y}"), true),
+                PredictReply::Degraded(y) => (format!("degraded {y}"), true),
+                PredictReply::Busy => ("busy".to_string(), false),
+                PredictReply::Draining => ("draining".to_string(), false),
+                PredictReply::Err(msg) => (format!("err {msg}"), false),
+            }
+        }
+        _ => render_text_reply(client.admin(cmd)?),
+    })
+}
 
+fn cmd_ctl(args: &Args) -> Result<(), String> {
     let addr = args.require("addr");
-    let line = inject_line(args)?;
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    writeln!(stream, "{line}").map_err(|e| e.to_string())?;
-    stream.flush().map_err(|e| e.to_string())?;
-    let mut reply = String::new();
-    BufReader::new(stream)
-        .read_line(&mut reply)
+    let cmd = args.require("cmd");
+    let mut client =
+        reghd_net::RgnpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    client
+        .set_timeout(Some(std::time::Duration::from_secs(30)))
         .map_err(|e| e.to_string())?;
-    let reply = reply.trim_end();
-    if reply.is_empty() {
-        return Err("server closed the connection without a reply".to_string());
-    }
+    let (reply, accepted) = run_ctl(&mut client, cmd).map_err(|e| e.to_string())?;
     println!("{reply}");
-    if reply.starts_with("err") {
-        return Err(format!("server refused: {reply}"));
+    if accepted {
+        Ok(())
+    } else {
+        Err("command refused".to_string())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1024,26 +984,27 @@ mod tests {
     }
 
     #[test]
-    fn inject_lines_render_per_kind() {
-        let line = |args: &[&str]| super::inject_line(&parse(args));
+    fn text_replies_render_in_line_grammar() {
+        use super::render_text_reply;
         assert_eq!(
-            line(&["--kind", "bitflip", "--model", "toy", "--rate", "0.1", "--seed", "7"]),
-            Ok("inject bitflip toy 0.1 7".to_string())
+            render_text_reply(Ok(String::new())),
+            ("ok".to_string(), true)
         );
         assert_eq!(
-            line(&["--kind", "delay", "--ms", "250"]),
-            Ok("inject delay 250".to_string())
-        );
-        assert_eq!(line(&["--kind", "kill"]), Ok("inject kill 1".to_string()));
-        assert_eq!(
-            line(&["--kind", "panic", "--n", "3"]),
-            Ok("inject panic 3".to_string())
+            render_text_reply(Ok("swept checked=1 corrupted=0 rolled_back=0".to_string())),
+            (
+                "ok swept checked=1 corrupted=0 rolled_back=0".to_string(),
+                true
+            )
         );
         assert_eq!(
-            line(&["--kind", "garble", "--rate", "0.5"]),
-            Ok("inject garble 0.5".to_string())
+            render_text_reply(Ok("model a v1\nmodel b v1".to_string())),
+            ("model a v1\nmodel b v1\nok".to_string(), true)
         );
-        assert_eq!(line(&["--kind", "clear"]), Ok("inject clear".to_string()));
+        assert_eq!(
+            render_text_reply(Err("inject disabled".to_string())),
+            ("err inject disabled".to_string(), false)
+        );
     }
 
     #[test]
@@ -1108,13 +1069,5 @@ mod tests {
         );
         let err = super::parse_trig(&parse(&["--trig", "approximate"])).unwrap_err();
         assert!(err.contains("unknown trig mode"), "{err}");
-    }
-
-    #[test]
-    fn inject_rejects_bad_kind_and_rate() {
-        let err = super::inject_line(&parse(&["--kind", "meteor"])).unwrap_err();
-        assert!(err.contains("unknown fault kind"), "{err}");
-        let err = super::inject_line(&parse(&["--kind", "garble", "--rate", "1.5"])).unwrap_err();
-        assert!(err.contains("must be in [0,1]"), "{err}");
     }
 }

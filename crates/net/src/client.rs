@@ -9,8 +9,7 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Outcome of a single-row prediction, mirroring the line protocol's
-/// `ok` / `degraded` / `busy` / `draining` / `err` replies.
+/// Outcome of a single-row prediction: one variant per reply status.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PredictReply {
     /// Full-precision answer.
@@ -158,8 +157,8 @@ impl RgnpClient {
             .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))
     }
 
-    fn text_request(&mut self, op: u8) -> io::Result<Result<String, String>> {
-        let f = self.roundtrip(|out, id| frame::encode(out, op, id, &[]))?;
+    fn text_request(&mut self, op: u8, payload: &[u8]) -> io::Result<Result<String, String>> {
+        let f = self.roundtrip(|out, id| frame::encode(out, op, id, payload))?;
         let text = String::from_utf8_lossy(&f.payload).into_owned();
         Ok(if f.kind == status::ERR {
             Err(text)
@@ -168,23 +167,25 @@ impl RgnpClient {
         })
     }
 
-    /// Fetches the server statistics block (same lines as the line
-    /// protocol's `stats`, newline-joined).
+    /// Fetches the server statistics block (`model`, `stat`, optional
+    /// `store`/`resolver`, and `server` lines, newline-joined).
     ///
     /// # Errors
     ///
     /// I/O failures and malformed replies.
     pub fn stats(&mut self) -> io::Result<String> {
-        self.text_request(opcode::STATS)?.map_err(io::Error::other)
+        self.text_request(opcode::STATS, &[])?
+            .map_err(io::Error::other)
     }
 
-    /// Fetches the model inventory (same lines as `list`).
+    /// Fetches the model inventory (`model` lines, name-sorted).
     ///
     /// # Errors
     ///
     /// I/O failures and malformed replies.
     pub fn list(&mut self) -> io::Result<String> {
-        self.text_request(opcode::LIST)?.map_err(io::Error::other)
+        self.text_request(opcode::LIST, &[])?
+            .map_err(io::Error::other)
     }
 
     /// Fetches the streaming-trainer status. `Ok(Err(msg))` is a
@@ -194,7 +195,18 @@ impl RgnpClient {
     ///
     /// I/O failures and malformed replies.
     pub fn train_status(&mut self) -> io::Result<Result<String, String>> {
-        self.text_request(opcode::TRAIN_STATUS)
+        self.text_request(opcode::TRAIN_STATUS, &[])
+    }
+
+    /// Runs one admin verb line (`reload <model> <path>`, `sweep`,
+    /// `inject …`). `Ok(Err(msg))` is the server's refusal, e.g.
+    /// `inject disabled` or a reload's checksum mismatch.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures and malformed replies.
+    pub fn admin(&mut self, line: &str) -> io::Result<Result<String, String>> {
+        self.text_request(opcode::ADMIN, line.as_bytes())
     }
 
     /// Liveness probe.

@@ -19,14 +19,17 @@ pub mod opcode {
     pub const PREDICT: u8 = 0x01;
     /// Row block: `u16 name_len | name | u32 rows | u32 cols | rows×cols × f32`.
     pub const PREDICT_BATCH: u8 = 0x02;
-    /// Server statistics; text reply identical to the line protocol.
+    /// Server statistics: newline-joined `model`/`stat`/`server` lines.
     pub const STATS: u8 = 0x03;
-    /// Model inventory; text reply identical to the line protocol.
+    /// Model inventory: newline-joined `model` lines, name-sorted.
     pub const LIST: u8 = 0x04;
     /// Streaming-trainer status block.
     pub const TRAIN_STATUS: u8 = 0x05;
     /// Liveness probe; empty OK reply.
     pub const PING: u8 = 0x06;
+    /// Admin verb: UTF-8 `reload <model> <path>` / `sweep` / `inject …`
+    /// line → `OK` or `ERR` text reply.
+    pub const ADMIN: u8 = 0x07;
 }
 
 /// Reply status codes. Ordered by severity: a batch reply's frame status

@@ -1,10 +1,9 @@
 //! `reghd-net` — event-driven RGNP front-end for the RegHD serving stack.
 //!
-//! The legacy line protocol (`reghd-serve`) spends one OS thread per
-//! connection; at 10k connections that is 10k stacks and a scheduler
-//! meltdown. This crate replaces the transport layer with a readiness
-//! model while reusing every piece of the PR 7 serving machinery
-//! (registry, batcher, workers, shed, deadlines) unchanged:
+//! The one network front-end of the serving stack. It puts the
+//! `reghd-serve` machinery (registry, batcher, workers, shed, deadlines,
+//! admin verbs) behind a readiness-model transport, so 10k connections
+//! cost a few poller threads rather than 10k stacks:
 //!
 //! * [`sys`]: a dependency-free epoll + wakeup-pipe layer built on raw
 //!   Linux syscalls (the same direct-syscall idiom as `reghd-store`'s
@@ -20,9 +19,9 @@
 //! * [`loadgen`]: an open-loop (fixed offered rate) load generator that
 //!   reports latency quantiles without coordinated omission.
 //!
-//! On non-Linux platforms the codec and config types still build, but
-//! [`server::serve_rgnp`] and the loadgen return `Unsupported` errors —
-//! use the legacy line front-end there.
+//! Serving is Linux-only (x86_64/aarch64). On other platforms the codec,
+//! client and config types still build, but [`server::serve_rgnp`] and the
+//! loadgen return `Unsupported` errors.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,8 +8,8 @@
 //! * A fixed pool of **poller threads** (default: up to 4), each owning a
 //!   private epoll set, a slab of connections, and a [`sys::WakePipe`].
 //!   Pollers parse frames, answer cheap requests inline (stats, list,
-//!   ping, degraded-tier predictions), and enqueue full-precision rows
-//!   into the shared [`Batcher`] exactly like the line front-end does.
+//!   ping, admin verbs, degraded-tier predictions), and enqueue
+//!   full-precision rows into the shared [`Batcher`].
 //! * **Workers** complete rows through a [`ReplySink::from_fn`] callback
 //!   that pushes the result into the owning poller's inbox and wakes it —
 //!   the poller turns completions into reply frames on its own thread, so
@@ -18,16 +18,20 @@
 //! Backpressure is per-connection: a connection whose write buffer exceeds
 //! [`NetConfig::write_budget`] stops being read (its requests back up into
 //! the kernel socket buffer and eventually the client), and is re-armed
-//! when the buffer drains below half the budget. Admission control reuses
-//! the PR 7 machinery: queue-full enqueues answer `BUSY`, drain answers
-//! `DRAINING`, per-request deadlines expire rows into the degraded tier.
+//! when the buffer drains below half the budget. Admission control:
+//! queue-full enqueues answer `BUSY`, drain answers `DRAINING`,
+//! per-request deadlines expire rows into the degraded tier.
+//!
+//! Admin verbs (`ADMIN` frames: reload, sweep, inject) run inline on the
+//! poller that received them; they are rare operator actions, so the
+//! other connections of that poller simply wait out a reload.
 
 use crate::frame::{self, opcode, status, FrameBuf, Step};
+use reghd_serve::admin::{self, degraded_value, model_line, render_stats};
 use reghd_serve::batcher::{Batcher, BatcherConfig, EnqueueResult};
 use reghd_serve::faults::FaultInjector;
 use reghd_serve::metrics::{MetricsHub, ModelMetrics};
 use reghd_serve::registry::{ModelRegistry, ServedModel};
-use reghd_serve::server::{degraded_value, model_line, render_stats};
 use reghd_serve::shed::{ShedConfig, ShedController};
 use reghd_serve::status::TrainStatus;
 use reghd_serve::worker::{ReplySink, WorkError, WorkItem, WorkerPool};
@@ -46,10 +50,15 @@ pub struct NetConfig {
     pub pollers: usize,
     /// Worker threads running model predictions.
     pub workers: usize,
-    /// Row-parallelism inside each model call (see the line server's
-    /// `ServerConfig::threads`).
+    /// Row-parallelism inside each model call: batches are split across
+    /// this many scoped threads with per-row arithmetic unchanged
+    /// (bit-identical results). `0` uses available parallelism. Applied to
+    /// every model in the registry at startup and inherited by later
+    /// loads and reloads.
     pub threads: usize,
-    /// Trigonometry mode for encoding (see `ServerConfig::trig`).
+    /// Trigonometry mode for encoding. `Fast` trades a documented error
+    /// bound ([`hdc::kernels::FAST_TRIG_MAX_ABS_ERROR`]) for throughput;
+    /// canary replays always force `Exact`. Applied like `threads`.
     pub trig: hdc::TrigMode,
     /// Micro-batching knobs.
     pub batcher: BatcherConfig,
@@ -58,7 +67,9 @@ pub struct NetConfig {
     /// A request unanswered for this long is settled through the degraded
     /// path; its late completion is discarded.
     pub reply_timeout: Duration,
-    /// Per-request deadline from enqueue (see `ServerConfig::deadline`).
+    /// Per-request deadline from enqueue. A row still queued when it
+    /// passes is shed before any model arithmetic and answered through the
+    /// degraded tier. `None` disables expiry.
     pub deadline: Option<Duration>,
     /// Hard cap on concurrently open connections. Over the cap, a
     /// connection gets one `BUSY` frame and is closed. `0`: unlimited.
@@ -73,8 +84,12 @@ pub struct NetConfig {
     pub write_budget: usize,
     /// Streaming-trainer status for the `train-status` opcode.
     pub train_status: Option<Arc<TrainStatus>>,
-    /// Seed for the worker-pool fault injector (chaos harness).
-    pub fault_seed: u64,
+    /// Run a registry integrity sweep this often. `None` disables the
+    /// background sweeper; the `sweep` admin verb always works.
+    pub sweep_interval: Option<Duration>,
+    /// Accept the `inject` admin verb. Off by default: fault injection is
+    /// a test and chaos facility, not a production surface.
+    pub enable_inject: bool,
 }
 
 impl Default for NetConfig {
@@ -94,7 +109,8 @@ impl Default for NetConfig {
             max_frame: frame::DEFAULT_MAX_FRAME,
             write_budget: 256 * 1024,
             train_status: None,
-            fault_seed: 0,
+            sweep_interval: None,
+            enable_inject: false,
         }
     }
 }
@@ -152,6 +168,8 @@ mod imp {
         hub: Arc<MetricsHub>,
         batcher: Arc<Batcher>,
         shed: Option<Arc<ShedController>>,
+        injector: Arc<FaultInjector>,
+        enable_inject: bool,
         train_status: Option<Arc<TrainStatus>>,
         deadline: Option<Duration>,
         reply_timeout: Duration,
@@ -226,8 +244,7 @@ mod imp {
     }
 
     /// Settles one row of a pending request, consuming the slot exactly
-    /// once. Expired/dropped rows fall back to the inline degraded path,
-    /// mirroring the line protocol.
+    /// once. Expired/dropped rows fall back to the inline degraded path.
     fn settle_slot(p: &mut PendingReq, slot: usize, result: Result<f32, WorkError>) {
         if slot >= p.results.len() || p.results[slot].is_some() {
             return; // duplicate or out-of-range: already settled
@@ -350,6 +367,19 @@ mod imp {
                     "no trainer attached",
                 ),
             },
+            opcode::ADMIN => {
+                let (st, text) = match admin::execute(
+                    &f.payload,
+                    &ctx.registry,
+                    &ctx.hub,
+                    &ctx.injector,
+                    ctx.enable_inject,
+                ) {
+                    Ok(text) => (status::OK, text),
+                    Err(msg) => (status::ERR, msg),
+                };
+                frame::encode_text_reply(&mut conn.out, st, f.req_id, &text);
+            }
             opcode::PREDICT | opcode::PREDICT_BATCH => {
                 handle_predict(ctx, shared, token, conn, f);
             }
@@ -365,9 +395,8 @@ mod imp {
         }
     }
 
-    /// The predict / predict-batch path: validation and admission mirror
-    /// the line protocol (`handle_line`) so the two front-ends answer
-    /// identically for the same rows.
+    /// The predict / predict-batch path: validation, the inline binary
+    /// tier, and admission into the batcher.
     fn handle_predict(
         ctx: &NetCtx,
         shared: &Arc<PollerShared>,
@@ -427,9 +456,8 @@ mod imp {
         {
             // Requested binary tier, corrupt-flagged model, or adaptive
             // shed: the §3.2 bit-packed binary path is cheap enough to run
-            // inline on the poller, exactly as the line server runs it
-            // inline on the connection thread. The DEGRADED status tells
-            // the client which precision answered.
+            // inline on the poller. The DEGRADED status tells the client
+            // which precision answered.
             let mut results = Vec::with_capacity(rows.len());
             let mut err: Option<String> = None;
             for row in &rows {
@@ -657,9 +685,8 @@ mod imp {
             for req_id in overdue {
                 let mut p = conn.pending.remove(&req_id).expect("present");
                 // Timed out (slow worker, lost completion): every
-                // unsettled row is answered degraded, like the line
-                // protocol's recv_timeout fallback. A completion arriving
-                // later finds no pending entry and is discarded.
+                // unsettled row is answered degraded. A completion
+                // arriving later finds no pending entry and is discarded.
                 for slot in 0..p.results.len() {
                     if p.results[slot].is_none() {
                         settle_slot(&mut p, slot, Err(WorkError::Expired));
@@ -735,17 +762,30 @@ mod imp {
                 after_work(&ctx, &epoll, &mut conns, token);
             }
             if shared.stop.load(Ordering::SeqCst) {
-                // Final drain: deliver completions the batcher settled
-                // while shutting down, flush best-effort, close.
-                touched.clear();
-                process_inbox(
-                    &ctx,
-                    &shared,
-                    &epoll,
-                    &mut conns,
-                    &mut next_token,
-                    &mut touched,
-                );
+                // Final drain: deliver the completions the batcher
+                // settled while shutting down and those of rows still
+                // running on the workers (each bounded by its reply
+                // timeout, after which `scan` answers it degraded), then
+                // flush best-effort and close.
+                loop {
+                    touched.clear();
+                    process_inbox(
+                        &ctx,
+                        &shared,
+                        &epoll,
+                        &mut conns,
+                        &mut next_token,
+                        &mut touched,
+                    );
+                    for &token in touched.iter() {
+                        after_work(&ctx, &epoll, &mut conns, token);
+                    }
+                    scan(&ctx, &epoll, &mut conns, Instant::now());
+                    if conns.values().all(|c| c.pending.is_empty()) {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 let tokens: Vec<u64> = conns.keys().copied().collect();
                 for token in tokens {
                     if let Some(conn) = conns.get_mut(&token) {
@@ -767,6 +807,7 @@ mod imp {
         local_addr: SocketAddr,
         stop: Arc<AtomicBool>,
         accept_thread: Option<JoinHandle<()>>,
+        sweeper_thread: Option<JoinHandle<()>>,
         pollers: Vec<(Arc<PollerShared>, Option<JoinHandle<()>>)>,
         hub: Arc<MetricsHub>,
         batcher: Arc<Batcher>,
@@ -815,7 +856,10 @@ mod imp {
 
         fn stop_and_join(&mut self) {
             self.stop.store(true, Ordering::SeqCst);
-            if let Some(h) = self.accept_thread.take() {
+            for h in [self.accept_thread.take(), self.sweeper_thread.take()]
+                .into_iter()
+                .flatten()
+            {
                 let _ = h.join();
             }
             // Settle every queued and in-flight row *before* stopping the
@@ -857,7 +901,7 @@ mod imp {
         registry.set_default_trig(cfg.trig);
 
         let hub = Arc::new(MetricsHub::new());
-        let injector = Arc::new(FaultInjector::new(cfg.fault_seed));
+        let injector = Arc::new(FaultInjector::new());
         let pool = Arc::new(WorkerPool::with_injector(
             cfg.workers,
             cfg.workers * 2,
@@ -877,11 +921,21 @@ mod imp {
         }
         .max(1);
 
+        let stop = Arc::new(AtomicBool::new(false));
+        let sweeper_thread = cfg
+            .sweep_interval
+            .map(|interval| {
+                admin::spawn_sweeper(registry.clone(), hub.clone(), interval, stop.clone())
+            })
+            .transpose()?;
+
         let ctx = Arc::new(NetCtx {
             registry,
             hub: hub.clone(),
             batcher: batcher.clone(),
             shed: shed.clone(),
+            injector: injector.clone(),
+            enable_inject: cfg.enable_inject,
             train_status: cfg.train_status.clone(),
             deadline: cfg.deadline,
             reply_timeout: cfg.reply_timeout,
@@ -907,7 +961,6 @@ mod imp {
             pollers.push((shared, Some(handle)));
         }
 
-        let stop = Arc::new(AtomicBool::new(false));
         let stop_accept = stop.clone();
         let accept_hub = hub.clone();
         let accept_active = active;
@@ -955,6 +1008,7 @@ mod imp {
             local_addr,
             stop,
             accept_thread: Some(accept_thread),
+            sweeper_thread,
             pollers,
             hub,
             batcher,
@@ -1005,8 +1059,8 @@ mod imp {
         }
     }
 
-    /// The RGNP front-end requires the Linux epoll fast path; use the
-    /// legacy line server (`serve --proto line`) elsewhere.
+    /// Serving requires the Linux epoll poller (x86_64/aarch64); there is
+    /// no network front-end on other platforms.
     ///
     /// # Errors
     ///
@@ -1017,7 +1071,8 @@ mod imp {
     ) -> Result<NetServerHandle, ServeError> {
         Err(ServeError::Io(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "RGNP front-end requires Linux epoll (x86_64/aarch64)",
+            "serving requires Linux on x86_64 or aarch64: the RGNP front-end is \
+             built on epoll, and there is no other network front-end",
         )))
     }
 }

@@ -258,16 +258,6 @@ impl RegHdRegressor {
         self.forward(&q).0
     }
 
-    /// Batched prediction through the **bit-packed binary tier** —
-    /// identical to [`RegHdRegressor::predict_batch_binary`]. The serving
-    /// layer historically called this entry point for its degraded-mode
-    /// fallback; the tier is now also selectable per request (it answers
-    /// both explicit binary-tier requests and overload demotions), so the
-    /// two names share one implementation.
-    pub fn predict_batch_degraded(&self, xs: &[Vec<f32>]) -> Vec<f32> {
-        self.predict_batch_binary(xs)
-    }
-
     /// Batched prediction through the **bit-packed binary tier**: int8
     /// integer encode (where the encoder supports it, see
     /// [`encoding::Encoder::encode_quantized_into`]), sign-packed query
@@ -1051,13 +1041,13 @@ mod tests {
         let mut m = make(4, 21);
         m.fit(&xs, &ys);
         let seq = m.predict_batch(&xs);
-        let seq_degraded = m.predict_batch_degraded(&xs);
+        let seq_degraded = m.predict_batch_binary(&xs);
         for threads in [0usize, 2, 4, 8] {
             m.set_threads(threads);
             assert_eq!(m.threads(), threads);
             assert_eq!(m.predict_batch(&xs), seq, "threads={threads}");
             assert_eq!(
-                m.predict_batch_degraded(&xs),
+                m.predict_batch_binary(&xs),
                 seq_degraded,
                 "degraded threads={threads}"
             );
@@ -1188,28 +1178,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_path_is_the_binary_tier() {
-        // The degraded fallback and the explicitly requested binary tier
-        // are one implementation: identical outputs, in every mode.
-        let (xs, ys) = multimodal(200, 14);
-        for cluster in [
-            ClusterMode::Integer,
-            ClusterMode::FrameworkBinary,
-            ClusterMode::NaiveBinary,
-        ] {
-            for pred in PredictionMode::ALL {
-                let mut m = make_with(4, cluster, pred, 14);
-                m.fit(&xs, &ys);
-                assert_eq!(
-                    m.predict_batch_binary(&xs[..10]),
-                    m.predict_batch_degraded(&xs[..10]),
-                    "tier diverged under {cluster:?}/{pred:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn binary_tier_is_finite_and_deterministic_in_every_mode() {
         let (xs, ys) = multimodal(200, 16);
         for cluster in [
@@ -1250,7 +1218,7 @@ mod tests {
         let mut m = make(4, 15);
         m.fit(&xs, &ys);
         let full = m.predict_batch(&xs[..50]);
-        let degraded = m.predict_batch_degraded(&xs[..50]);
+        let degraded = m.predict_batch_binary(&xs[..50]);
         assert!(degraded.iter().all(|p| p.is_finite()));
         // Quantisation costs accuracy but the estimate stays in the same
         // regime (the paper reports <4% quality loss for binary paths).
@@ -1265,7 +1233,7 @@ mod tests {
             .sum::<f32>()
             / 50.0;
         assert!(mse < var, "degraded path diverged: mse {mse} vs var {var}");
-        let nan_row = m.predict_batch_degraded(&[vec![f32::NAN, 0.0]]);
+        let nan_row = m.predict_batch_binary(&[vec![f32::NAN, 0.0]]);
         assert!(nan_row[0].is_nan());
     }
 }

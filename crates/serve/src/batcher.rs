@@ -691,7 +691,7 @@ mod tests {
         // must see a mean batch size of at least `max_batch / 2`.
         let model = served(9);
         let metrics = Arc::new(ModelMetrics::default());
-        let inj = Arc::new(crate::faults::FaultInjector::new(9));
+        let inj = Arc::new(crate::faults::FaultInjector::new());
         let pool = Arc::new(WorkerPool::with_injector(1, 1, inj.clone()).unwrap());
         inj.set_worker_delay(Duration::from_millis(10));
         let max_batch = 8usize;

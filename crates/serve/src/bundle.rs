@@ -454,12 +454,6 @@ impl ModelBundle {
             .collect())
     }
 
-    /// Alias for [`ModelBundle::predict_binary`], kept under the name the
-    /// serving layer's fallback paths historically used.
-    pub fn predict_degraded(&self, rows: &[Vec<f32>]) -> Result<Vec<f32>, String> {
-        self.predict_binary(rows)
-    }
-
     /// Replays the stored canary rows and checks the predictions against
     /// the values recorded at save time, **bit-exactly**. `Ok` for bundles
     /// without a canary section (v1). The registry runs this after every
@@ -1392,7 +1386,7 @@ mod tests {
         let ds = toy_dataset();
         let (bundle, _) = train(&ds, 512, 2, 15, 12, false).unwrap();
         let full = bundle.predict(&ds.features[..10]).unwrap();
-        let degraded = bundle.predict_degraded(&ds.features[..10]).unwrap();
+        let degraded = bundle.predict_binary(&ds.features[..10]).unwrap();
         assert_eq!(degraded.len(), 10);
         assert!(degraded.iter().all(|p| p.is_finite()));
         // Same units, same regime: both should straddle the target range.
@@ -1420,7 +1414,7 @@ mod tests {
             .predict(&[vec![1.0, 2.0], vec![f32::INFINITY, 0.0]])
             .unwrap_err();
         assert!(err.contains("row 1"), "err: {err}");
-        let err = bundle.predict_degraded(&[vec![1.0, f32::NAN]]).unwrap_err();
+        let err = bundle.predict_binary(&[vec![1.0, f32::NAN]]).unwrap_err();
         assert!(err.contains("non-finite"), "err: {err}");
     }
 

@@ -11,17 +11,15 @@
 //!   via [`crate::registry::ModelRegistry::inject_model_faults`], which
 //!   reuses `hdc::noise` on a cloned model state;
 //! * corrupt or truncate bundle bytes before a load ([`corrupt_bytes`]);
-//! * delay, kill, or panic worker threads mid-batch;
-//! * garble inbound socket lines so the protocol layer sees trash.
+//! * delay, kill, or panic worker threads mid-batch.
 //!
-//! Everything is driven by one seeded [`HdRng`], so a chaos run is
-//! reproducible from its seed. All knobs default to *off*; a default
-//! injector is inert and costs one relaxed atomic load per check.
+//! Every random choice takes an explicit seed (the bit-flip seed, the
+//! [`HdRng`] handed to [`corrupt_bytes`]), so a chaos run is reproducible.
+//! All knobs default to *off*; a default injector is inert and costs one
+//! relaxed atomic load per check.
 
-use crate::lock_unpoisoned;
 use hdc::rng::HdRng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Byte-level bundle corruption modes used by load-integrity tests.
@@ -60,13 +58,12 @@ pub fn corrupt_bytes(bytes: &mut Vec<u8>, fault: ByteFault, rng: &mut HdRng) -> 
     }
 }
 
-/// Shared, seeded fault state consulted by workers and the protocol layer.
+/// Shared fault state consulted by the worker pool.
 ///
 /// All methods take `&self`; the injector is designed to sit behind an
 /// `Arc` shared by every thread in the server.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FaultInjector {
-    rng: Mutex<HdRng>,
     /// Per-batch worker sleep, in microseconds. 0 = off.
     worker_delay_us: AtomicU64,
     /// Number of pending worker kills (each worker that picks one up
@@ -75,21 +72,12 @@ pub struct FaultInjector {
     /// Number of pending deliberate worker panics (each panics mid-batch
     /// inside the pool's containment boundary).
     pending_panics: AtomicUsize,
-    /// Probability (in parts-per-million) that an inbound protocol line is
-    /// garbled before parsing. 0 = off.
-    garble_ppm: AtomicU64,
 }
 
 impl FaultInjector {
-    /// Creates an inert injector whose randomness is derived from `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: Mutex::new(HdRng::seed_from(seed ^ 0xFA_07_5E_ED)),
-            worker_delay_us: AtomicU64::new(0),
-            pending_kills: AtomicUsize::new(0),
-            pending_panics: AtomicUsize::new(0),
-            garble_ppm: AtomicU64::new(0),
-        }
+    /// Creates an inert injector.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Resets every knob to off. Pending kills/panics are discarded.
@@ -97,7 +85,6 @@ impl FaultInjector {
         self.worker_delay_us.store(0, Ordering::Relaxed);
         self.pending_kills.store(0, Ordering::Relaxed);
         self.pending_panics.store(0, Ordering::Relaxed);
-        self.garble_ppm.store(0, Ordering::Relaxed);
     }
 
     /// Makes every worker sleep for `d` before executing each batch
@@ -141,54 +128,11 @@ impl FaultInjector {
         take_one(&self.pending_panics)
     }
 
-    /// Sets the probability that an inbound protocol line is garbled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not within `[0, 1]`.
-    pub fn set_garble_rate(&self, rate: f64) {
-        assert!((0.0..=1.0).contains(&rate), "rate must be in [0,1]");
-        self.garble_ppm
-            .store((rate * 1_000_000.0) as u64, Ordering::Relaxed);
-    }
-
-    /// Garbles `line` in place with the configured probability, returning
-    /// whether it was touched. Garbling replaces one character with `'~'`
-    /// (never a newline), so a garbled request still reaches the parser as
-    /// one line — the fault surfaces as a typed protocol error, not a
-    /// framing break.
-    pub fn garble_line(&self, line: &mut String) -> bool {
-        let ppm = self.garble_ppm.load(Ordering::Relaxed);
-        if ppm == 0 || line.is_empty() {
-            return false;
-        }
-        let mut rng = lock_unpoisoned(&self.rng);
-        if !rng.next_bool(ppm as f64 / 1_000_000.0) {
-            return false;
-        }
-        let chars: Vec<char> = line.chars().collect();
-        let idx = rng.next_below(chars.len());
-        let garbled: String = chars
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| if i == idx && c != '\n' { '~' } else { c })
-            .collect();
-        *line = garbled;
-        true
-    }
-
     /// Whether any fault is currently armed (for `stats` reporting).
     pub fn any_armed(&self) -> bool {
         self.worker_delay_us.load(Ordering::Relaxed) != 0
             || self.pending_kills.load(Ordering::Relaxed) != 0
             || self.pending_panics.load(Ordering::Relaxed) != 0
-            || self.garble_ppm.load(Ordering::Relaxed) != 0
-    }
-}
-
-impl Default for FaultInjector {
-    fn default() -> Self {
-        Self::new(0)
     }
 }
 
@@ -211,19 +155,16 @@ mod tests {
 
     #[test]
     fn inert_by_default() {
-        let inj = FaultInjector::new(1);
+        let inj = FaultInjector::new();
         assert!(inj.worker_delay().is_none());
         assert!(!inj.take_kill());
         assert!(!inj.take_panic());
-        let mut line = "predict m 1,2".to_string();
-        assert!(!inj.garble_line(&mut line));
-        assert_eq!(line, "predict m 1,2");
         assert!(!inj.any_armed());
     }
 
     #[test]
     fn kills_and_panics_are_consumed_exactly() {
-        let inj = FaultInjector::new(2);
+        let inj = FaultInjector::new();
         inj.kill_workers(2);
         inj.panic_batches(1);
         assert!(inj.any_armed());
@@ -237,47 +178,11 @@ mod tests {
 
     #[test]
     fn delay_round_trips() {
-        let inj = FaultInjector::new(3);
+        let inj = FaultInjector::new();
         inj.set_worker_delay(Duration::from_millis(7));
         assert_eq!(inj.worker_delay(), Some(Duration::from_millis(7)));
         inj.set_worker_delay(Duration::ZERO);
         assert!(inj.worker_delay().is_none());
-    }
-
-    #[test]
-    fn garble_is_deterministic_per_seed() {
-        let run = |seed| {
-            let inj = FaultInjector::new(seed);
-            inj.set_garble_rate(0.5);
-            let mut hits = Vec::new();
-            for i in 0..40 {
-                let mut line = format!("predict toy {i},{i}");
-                if inj.garble_line(&mut line) {
-                    hits.push((i, line));
-                }
-            }
-            hits
-        };
-        let a = run(9);
-        let b = run(9);
-        let c = run(10);
-        assert_eq!(a, b, "same seed must garble identically");
-        assert_ne!(a, c, "different seeds should diverge");
-        assert!(!a.is_empty(), "rate 0.5 over 40 lines must hit");
-        for (_, line) in &a {
-            assert!(line.contains('~'), "{line}");
-            assert!(!line.contains('\n'));
-        }
-    }
-
-    #[test]
-    fn garble_rate_one_touches_everything() {
-        let inj = FaultInjector::new(11);
-        inj.set_garble_rate(1.0);
-        let mut line = "health".to_string();
-        assert!(inj.garble_line(&mut line));
-        assert_ne!(line, "health");
-        assert_eq!(line.chars().count(), 6);
     }
 
     #[test]

@@ -3,36 +3,40 @@
 //! The serving subsystem: a [`registry::ModelRegistry`] of hot-swappable
 //! named models loaded from `.rghd` bundles, a [`batcher::Batcher`] that
 //! micro-batches incoming rows, a fixed [`worker::WorkerPool`] executing
-//! batched predictions, a line-oriented TCP front-end
-//! ([`server::serve`]), and lock-free [`metrics`].
+//! batched predictions, lock-free [`metrics`], and the protocol-independent
+//! [`admin`] surface (stats rendering, integrity sweeps, admin verbs). The
+//! network front-end that puts these on a socket is the RGNP server in
+//! `reghd-net`.
 //!
-//! Everything is built on `std` (threads, channels, `TcpListener`) — no
+//! Everything is built on `std` (threads, channels, atomics) — no
 //! external runtime. A trained [`bundle::ModelBundle`] is immutable while
 //! served, so one copy of the learned state is shared by every worker
 //! thread; hot swaps replace the `Arc` atomically and in-flight requests
 //! finish on the version they resolved.
 //!
 //! ```no_run
+//! use reghd_serve::admin;
 //! use reghd_serve::registry::ModelRegistry;
-//! use reghd_serve::server::{serve, ServerConfig};
-//! use std::sync::Arc;
+//! use reghd_serve::MetricsHub;
 //!
-//! let registry = Arc::new(ModelRegistry::new());
+//! let registry = ModelRegistry::new();
 //! registry.load("demo", "model.rghd").unwrap();
-//! let handle = serve(ServerConfig::default(), registry).unwrap();
-//! println!("serving on {}", handle.local_addr());
-//! # handle.shutdown();
+//! let y = registry.get("demo").unwrap().bundle.predict(&[vec![0.5, 1.5]]).unwrap();
+//! println!("demo predicts {}", y[0]);
+//! // The same sweep the server's `sweep` admin verb runs:
+//! let report = admin::run_sweep(&registry, &MetricsHub::new());
+//! assert_eq!(report.checked, 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admin;
 pub mod batcher;
 pub mod bundle;
 pub mod faults;
 pub mod metrics;
 pub mod registry;
-pub mod server;
 pub mod shed;
 pub mod status;
 pub mod worker;
@@ -45,7 +49,6 @@ pub use registry::{
     ModelMeta, ModelRegistry, ModelResolver, ResolverHealth, ResolverPolicy, ServedModel,
     SweepReport,
 };
-pub use server::{serve, ServerConfig, ServerHandle};
 pub use shed::{ShedConfig, ShedController};
 pub use status::TrainStatus;
 pub use worker::{Batch, CompletionGuard, ReplySink, WorkError, WorkItem, WorkerPool};
@@ -127,7 +130,6 @@ mod tests {
         assert_send_sync::<MetricsHub>();
         assert_send_sync::<WorkerPool>();
         assert_send_sync::<Batcher>();
-        assert_send_sync::<ServerHandle>();
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Live counters describing an attached streaming trainer.
 ///
 /// Constructed by the trainer, shared with the server via
-/// [`crate::server::ServerConfig::train_status`].
+/// `reghd_net::NetConfig::train_status`.
 #[derive(Debug, Default)]
 pub struct TrainStatus {
     samples: AtomicU64,

@@ -56,8 +56,8 @@ impl std::fmt::Display for WorkError {
 
 /// Where a row's answer goes.
 ///
-/// The legacy line front-end blocks a connection thread on a rendezvous
-/// channel per request; the event-loop front-end cannot block, so it hands
+/// A synchronous caller (the serve bench, unit tests) blocks on a
+/// rendezvous channel per request; the RGNP front-end cannot block, so it hands
 /// over a callback that routes the completion back to the poller that owns
 /// the connection. Both variants deliver **exactly one** terminal signal:
 /// the channel disconnects if its sender drops unanswered, and the callback
@@ -505,7 +505,7 @@ mod tests {
     fn injected_panic_is_contained() {
         let (_reg, served) = toy_model();
         let metrics = Arc::new(ModelMetrics::default());
-        let inj = Arc::new(FaultInjector::new(1));
+        let inj = Arc::new(FaultInjector::new());
         let pool = WorkerPool::with_injector(1, 4, inj.clone()).unwrap();
 
         inj.panic_batches(1);
@@ -536,7 +536,7 @@ mod tests {
     fn injected_kill_removes_worker_but_never_the_last() {
         let (_reg, served) = toy_model();
         let metrics = Arc::new(ModelMetrics::default());
-        let inj = Arc::new(FaultInjector::new(2));
+        let inj = Arc::new(FaultInjector::new());
         let pool = WorkerPool::with_injector(2, 8, inj.clone()).unwrap();
         assert_eq!(pool.alive_workers(), 2);
 
@@ -619,7 +619,7 @@ mod tests {
     fn injected_delay_slows_batches() {
         let (_reg, served) = toy_model();
         let metrics = Arc::new(ModelMetrics::default());
-        let inj = Arc::new(FaultInjector::new(3));
+        let inj = Arc::new(FaultInjector::new());
         let pool = WorkerPool::with_injector(1, 4, inj.clone()).unwrap();
         inj.set_worker_delay(Duration::from_millis(50));
         let start = Instant::now();

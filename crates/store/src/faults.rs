@@ -1,7 +1,7 @@
 //! Deterministic storage fault injection for the model store.
 //!
 //! The serving crate's [`reghd_serve::faults::FaultInjector`] stresses the
-//! compute path (worker kills, stalls, garbled protocol lines); this module
+//! compute path (worker kills, stalls, panics); this module
 //! is its disk-side twin. A [`StoreFaultInjector`] shared by a store's
 //! shards arms **counted** faults — each armed unit is consumed by exactly
 //! one I/O operation, so a chaos run can say "the next three appends hit

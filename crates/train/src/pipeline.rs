@@ -303,7 +303,7 @@ impl Trainer {
     }
 
     /// The shared status block (hand a clone to
-    /// `reghd_serve::ServerConfig::train_status` to expose it over the
+    /// `reghd_net::NetConfig::train_status` to expose it over the
     /// protocol).
     pub fn status(&self) -> Arc<TrainStatus> {
         self.status.clone()

@@ -1,28 +1,23 @@
-//! End-to-end train-while-serve: a TCP server answers predictions out of a
-//! live registry while, in the same process, the streaming trainer chases
+//! End-to-end train-while-serve: an RGNP server answers predictions out of
+//! a live registry while, in the same process, the streaming trainer chases
 //! an abruptly drifting stream — detecting the drift, republishing
 //! checkpoints into the registry (canary-gated), and exposing its counters
-//! through the `train-status` protocol command.
+//! through the `train-status` opcode.
+
+#![cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 
 use datasets::drift::{DriftKind, DriftStream};
+use reghd_net::client::PredictReply;
+use reghd_net::{serve_rgnp, NetConfig, RgnpClient};
 use reghd_serve::registry::ModelRegistry;
-use reghd_serve::server::{serve, ServerConfig};
 use reghd_train::detect::EwmaDetector;
 use reghd_train::pipeline::{DriftAction, PublishTarget, Trainer, TrainerConfig};
 use reghd_train::source::DriftSource;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn roundtrip(stream: &mut TcpStream, req: &str) -> String {
-    writeln!(stream, "{req}").unwrap();
-    stream.flush().unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    line.trim_end().to_string()
-}
 
 /// Root-mean-square of an error window.
 fn rmse(errs: &[f32]) -> f32 {
@@ -58,13 +53,12 @@ fn trainer_chases_abrupt_drift_while_serving() {
         });
     let status = trainer.status();
 
-    let server = serve(
-        ServerConfig {
+    let server = serve_rgnp(
+        NetConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            read_timeout: Duration::from_secs(10),
             train_status: Some(status.clone()),
-            ..ServerConfig::default()
+            ..NetConfig::default()
         },
         registry.clone(),
     )
@@ -78,23 +72,22 @@ fn trainer_chases_abrupt_drift_while_serving() {
 
     // While the trainer runs: wait for the first publication, then serve
     // predictions from the just-published model over the wire.
-    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut conn = RgnpClient::connect(&addr.to_string()).unwrap();
+    conn.set_timeout(Some(Duration::from_secs(10))).unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
     while registry.get("live").is_none() {
         assert!(Instant::now() < deadline, "trainer never published");
         std::thread::sleep(Duration::from_millis(10));
     }
-    let reply = roundtrip(&mut conn, "predict live 0.1,-0.2,0.3");
-    assert!(
-        reply.starts_with("ok ") || reply.starts_with("degraded "),
-        "{reply}"
-    );
-    let y: f32 = reply.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let y = match conn.predict("live", &[0.1, -0.2, 0.3]).unwrap() {
+        PredictReply::Ok(y) | PredictReply::Degraded(y) => y,
+        other => panic!("expected an answer, got {other:?}"),
+    };
     assert!(y.is_finite());
 
     // The live status is visible over the protocol mid-run.
-    let ts = roundtrip(&mut conn, "train-status");
-    assert!(ts.starts_with("ok train samples="), "{ts}");
+    let ts = conn.train_status().unwrap().unwrap();
+    assert!(ts.starts_with("train samples="), "{ts}");
 
     let (_trainer, report) = trainer_thread.join().unwrap();
 
@@ -136,10 +129,10 @@ fn trainer_chases_abrupt_drift_while_serving() {
     );
 
     // Final protocol check: train-status reflects the finished run.
-    let ts = roundtrip(&mut conn, "train-status");
+    let ts = conn.train_status().unwrap().unwrap();
     assert!(ts.contains(&format!("samples={SAMPLES}")), "{ts}");
     assert!(ts.contains("canary_failures=0"), "{ts}");
-    let list = roundtrip(&mut conn, "list");
+    let list = conn.list().unwrap();
     assert!(list.starts_with("model live v"), "{list}");
 
     server.shutdown();

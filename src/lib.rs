@@ -15,8 +15,8 @@
 //! * [`hwmodel`] — the operation-level hardware cost model that stands in
 //!   for the paper's FPGA/RPi measurements.
 //! * [`reghd_serve`] — concurrent inference: hot-swappable registry,
-//!   micro-batching, TCP front-end, fault tolerance.
-//! * [`reghd_net`] — event-driven RGNP front-end: epoll poller pool,
+//!   micro-batching, admin verbs, fault tolerance.
+//! * [`reghd_net`] — the RGNP network front-end: epoll poller pool,
 //!   pipelined binary protocol, open-loop load generator (see
 //!   `docs/PROTOCOL.md`).
 //! * [`reghd_store`] — sharded per-user model store: mmap packfiles with

@@ -168,7 +168,7 @@ fn predict_batch_with_scratch_is_bit_identical_in_every_mode() {
             }
             m.set_threads(1);
             // Degraded (binary-query) replies go through the same engine.
-            let deg = m.predict_batch_degraded(&xs);
+            let deg = m.predict_batch_binary(&xs);
             assert_eq!(deg.len(), xs.len());
             assert!(deg.iter().all(|p| p.is_finite()));
         }

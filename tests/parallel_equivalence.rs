@@ -5,13 +5,13 @@
 //! and chunk results are concatenated in order — so `encode_batch` and
 //! `predict_batch` must be **bit-identical** at every thread count, for
 //! every `ClusterMode` × `PredictionMode` combination, all the way up
-//! through a train-then-serve TCP roundtrip.
+//! through a train-then-serve RGNP roundtrip.
 
 use proptest::prelude::*;
+use reghd_net::client::PredictReply;
+use reghd_net::{serve_rgnp, NetConfig, RgnpClient};
 use reghd_repro::prelude::*;
-use reghd_serve::{bundle, serve, ModelRegistry, ServerConfig};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use reghd_serve::{bundle, ModelRegistry};
 use std::sync::Arc;
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -62,7 +62,7 @@ fn predict_batch_is_bit_identical_in_every_mode_at_every_thread_count() {
             let mut m = RegHdRegressor::new(cfg, Box::new(NonlinearEncoder::new(4, 256, 5)));
             m.fit(&xs, &ys);
             let seq = m.predict_batch(&xs);
-            let seq_deg = m.predict_batch_degraded(&xs);
+            let seq_deg = m.predict_batch_binary(&xs);
             for threads in THREADS {
                 m.set_threads(threads);
                 assert_eq!(
@@ -71,7 +71,7 @@ fn predict_batch_is_bit_identical_in_every_mode_at_every_thread_count() {
                     "{cluster:?}/{pred:?} threads={threads}"
                 );
                 assert_eq!(
-                    bits(&m.predict_batch_degraded(&xs)),
+                    bits(&m.predict_batch_binary(&xs)),
                     bits(&seq_deg),
                     "degraded {cluster:?}/{pred:?} threads={threads}"
                 );
@@ -121,10 +121,13 @@ proptest! {
     }
 }
 
-/// One `predict` request per row against a running server; replies come
-/// back as `ok <f32>` lines whose text is the shortest round-trip
-/// representation — string equality means bit equality.
-fn serve_and_predict(threads: usize, xs: &[Vec<f32>]) -> Vec<String> {
+/// One `PREDICT` frame per row against a running RGNP server; replies
+/// come back as f32 bits.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn serve_and_predict(threads: usize, xs: &[Vec<f32>]) -> Vec<u32> {
     let (train_xs, train_ys) = rows(80, 4);
     let ds = datasets::Dataset::new("par-eq", train_xs, train_ys);
     let (bundle, _) = bundle::train(&ds, 256, 2, 6, 3, false).unwrap();
@@ -133,36 +136,38 @@ fn serve_and_predict(threads: usize, xs: &[Vec<f32>]) -> Vec<String> {
     let registry = Arc::new(ModelRegistry::new());
     registry.set_default_threads(threads);
     registry.load_bytes("m", &bytes).unwrap();
-    let handle = serve(
-        ServerConfig {
+    let handle = serve_rgnp(
+        NetConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             threads,
-            ..ServerConfig::default()
+            ..NetConfig::default()
         },
         registry,
     )
     .unwrap();
 
-    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut replies = Vec::with_capacity(xs.len());
-    for x in xs {
-        let csv: Vec<String> = x.iter().map(|v| v.to_string()).collect();
-        writeln!(stream, "predict m {}", csv.join(",")).unwrap();
-        stream.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end().to_string();
-        assert!(line.starts_with("ok "), "reply: {line}");
-        replies.push(line);
-    }
-    drop(stream);
+    let mut client = RgnpClient::connect(&handle.local_addr().to_string()).unwrap();
+    client
+        .set_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let replies = xs
+        .iter()
+        .map(|x| match client.predict("m", x).unwrap() {
+            PredictReply::Ok(y) => y.to_bits(),
+            other => panic!("reply: {other:?}"),
+        })
+        .collect();
+    drop(client);
     handle.shutdown();
     replies
 }
 
 #[test]
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 fn train_then_serve_roundtrip_matches_sequential_exactly() {
     let (xs, _) = rows(12, 4);
     let sequential = serve_and_predict(1, &xs);

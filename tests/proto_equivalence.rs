@@ -1,9 +1,9 @@
-//! Line-protocol vs RGNP equivalence: the two front-ends share one
-//! registry and must answer bit-identically for every quantisation mode
-//! (ClusterMode × PredictionMode), on both the full-precision and the
-//! degraded tier. The line protocol renders f32 through `Display`,
-//! which is shortest-roundtrip in Rust, so parsing the text back gives
-//! the exact bits the server computed.
+//! RGNP vs in-process equivalence: the network front-end must be
+//! behaviour-free. For every quantisation mode (ClusterMode ×
+//! PredictionMode), an RGNP reply carries exactly the bits that
+//! `ModelBundle::predict` (full tier) or `ModelBundle::predict_binary`
+//! (binary tier, requested or server-degraded) compute in process, and the
+//! `LIST` payload is exactly the `model_line` rendering of the registry.
 
 #![cfg(all(
     target_os = "linux",
@@ -12,13 +12,12 @@
 
 use reghd_repro::prelude::*;
 use reghd_repro::reghd_net::client::PredictReply;
+use reghd_repro::reghd_net::frame::PredictionTier;
 use reghd_repro::reghd_net::{serve_rgnp, NetConfig, RgnpClient};
+use reghd_repro::reghd_serve::admin::model_line;
 use reghd_repro::reghd_serve::bundle::ModelBundle;
 use reghd_repro::reghd_serve::registry::ModelRegistry;
-use reghd_repro::reghd_serve::{serve, ServerConfig};
 use reghd_repro::{encoding::EncoderSpec, reghd::RegHdConfig};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,17 +45,16 @@ fn trained(cm: ClusterMode, pm: PredictionMode, seed: u64) -> ModelBundle {
     ModelBundle::from_trained(model, vec![0.0; 2], vec![1.0; 2], 0.0, 1.0, &rows).unwrap()
 }
 
-fn line_roundtrip(stream: &mut TcpStream, req: &str) -> String {
-    writeln!(stream, "{req}").unwrap();
-    stream.flush().unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    line.trim_end().to_string()
+/// The f32 bits of a reply with the expected status, panicking otherwise.
+fn reply_bits(reply: PredictReply, want_degraded: bool, what: &str) -> u32 {
+    match (reply, want_degraded) {
+        (PredictReply::Ok(y), false) | (PredictReply::Degraded(y), true) => y.to_bits(),
+        (other, _) => panic!("{what}: unexpected reply {other:?}"),
+    }
 }
 
 #[test]
-fn line_and_rgnp_predict_bit_identically_across_all_modes() {
+fn rgnp_predicts_bit_identically_to_in_process_across_all_modes() {
     let cluster_modes = [
         ClusterMode::Integer,
         ClusterMode::FrameworkBinary,
@@ -82,18 +80,9 @@ fn line_and_rgnp_predict_bit_identically_across_all_modes() {
             seed += 1;
         }
     }
+    assert_eq!(names.len(), 12);
 
-    let line_handle = serve(
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            read_timeout: Duration::from_secs(5),
-            ..ServerConfig::default()
-        },
-        registry.clone(),
-    )
-    .unwrap();
-    let rgnp_handle = serve_rgnp(
+    let handle = serve_rgnp(
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
@@ -103,70 +92,40 @@ fn line_and_rgnp_predict_bit_identically_across_all_modes() {
         registry.clone(),
     )
     .unwrap();
-
-    let mut line = TcpStream::connect(line_handle.local_addr()).unwrap();
-    let mut rgnp = RgnpClient::connect(&rgnp_handle.local_addr().to_string()).unwrap();
+    let mut rgnp = RgnpClient::connect(&handle.local_addr().to_string()).unwrap();
     rgnp.set_timeout(Some(Duration::from_secs(10))).unwrap();
 
-    let probe_rows: [[f32; 2]; 3] = [[0.25, 1.0], [1.5, 3.0], [-0.5, 4.0]];
+    let probe_rows: Vec<Vec<f32>> = vec![vec![0.25, 1.0], vec![1.5, 3.0], vec![-0.5, 4.0]];
     for name in &names {
-        // Full-precision tier.
-        for row in &probe_rows {
-            let text = line_roundtrip(&mut line, &format!("predict {name} {},{}", row[0], row[1]));
-            let y_line: f32 = text
-                .strip_prefix("ok ")
-                .unwrap_or_else(|| panic!("line reply for {name}: {text}"))
-                .parse()
-                .unwrap();
-            match rgnp.predict(name, row).unwrap() {
-                PredictReply::Ok(y) => assert_eq!(
-                    y.to_bits(),
-                    y_line.to_bits(),
-                    "{name} row {row:?}: rgnp {y} vs line {y_line}"
-                ),
-                other => panic!("{name}: expected ok, got {other:?}"),
-            }
-        }
-        // Degraded tier: flag the model corrupt so both front-ends take
-        // their inline §3.2 fallback, then unflag.
         let served = registry.get(name).unwrap();
+        let full = served.bundle.predict(&probe_rows).unwrap();
+        let binary = served.bundle.predict_binary(&probe_rows).unwrap();
+        for (i, row) in probe_rows.iter().enumerate() {
+            // Full-precision tier through the batcher.
+            let got = reply_bits(rgnp.predict(name, row).unwrap(), false, name);
+            assert_eq!(got, full[i].to_bits(), "{name} full row {row:?}");
+            // Binary tier requested by the client.
+            let got = reply_bits(
+                rgnp.predict_tier(name, row, PredictionTier::Binary)
+                    .unwrap(),
+                true,
+                name,
+            );
+            assert_eq!(got, binary[i].to_bits(), "{name} binary row {row:?}");
+        }
+        // Binary tier chosen by the server: a corrupt-flagged model is
+        // answered through the same §3.2 fallback.
         served.corrupt.store(true, Ordering::Relaxed);
-        for row in &probe_rows {
-            let text = line_roundtrip(&mut line, &format!("predict {name} {},{}", row[0], row[1]));
-            let y_line: f32 = text
-                .strip_prefix("degraded ")
-                .unwrap_or_else(|| panic!("line degraded reply for {name}: {text}"))
-                .parse()
-                .unwrap();
-            match rgnp.predict(name, row).unwrap() {
-                PredictReply::Degraded(y) => assert_eq!(
-                    y.to_bits(),
-                    y_line.to_bits(),
-                    "{name} degraded row {row:?}: rgnp {y} vs line {y_line}"
-                ),
-                other => panic!("{name}: expected degraded, got {other:?}"),
-            }
+        for (i, row) in probe_rows.iter().enumerate() {
+            let got = reply_bits(rgnp.predict(name, row).unwrap(), true, name);
+            assert_eq!(got, binary[i].to_bits(), "{name} degraded row {row:?}");
         }
         served.corrupt.store(false, Ordering::Relaxed);
     }
 
-    // The inventory is byte-identical too: RGNP `list` is the line
-    // protocol's `list` lines minus the trailing `ok` terminator
-    // (frames self-delimit).
-    let mut line_list = Vec::new();
-    writeln!(line, "list").unwrap();
-    let mut reader = BufReader::new(line.try_clone().unwrap());
-    loop {
-        let mut l = String::new();
-        reader.read_line(&mut l).unwrap();
-        let l = l.trim_end().to_string();
-        if l == "ok" {
-            break;
-        }
-        line_list.push(l);
-    }
-    assert_eq!(rgnp.list().unwrap(), line_list.join("\n"));
+    // The inventory is the registry's `model_line` rendering, name-sorted.
+    let want: Vec<String> = registry.list().iter().map(model_line).collect();
+    assert_eq!(rgnp.list().unwrap(), want.join("\n"));
 
-    rgnp_handle.shutdown();
-    line_handle.shutdown();
+    handle.shutdown();
 }
