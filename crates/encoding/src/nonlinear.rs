@@ -30,14 +30,15 @@
 //! artefact that downstream learners remove by mean-centring (see
 //! `reghd::RegHdConfig::center_encodings`).
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use crate::Encoder;
 use hdc::kernels::{fast_cos, fast_sin, project_blocked};
 use hdc::quant::{quantize_i8, QuantizedWeights};
 use hdc::rng::HdRng;
-use hdc::simd::PackedProjection;
+use hdc::simd::{PackedProjection, SimdLevel};
 use hdc::{BinaryHv, RealHv, TrigMode};
 
 /// RegHD's default encoder: Gaussian projection through the
@@ -46,6 +47,12 @@ use hdc::{BinaryHv, RealHv, TrigMode};
 /// Inputs are assumed standardised (zero mean, unit variance per feature);
 /// the projection variance is `1/n` so the projected scalar `p` has unit
 /// variance regardless of the feature count.
+///
+/// The projection and every table derived from it are a pure function of
+/// `(input_dim, dim, seed)`, so all live encoders of one spec share a
+/// single copy (an item memory generated once, not per model): building a
+/// second encoder of a live spec costs a map lookup instead of
+/// `dim × input_dim` Gaussian draws. Only the trig knob is per encoder.
 ///
 /// # Examples
 ///
@@ -59,15 +66,22 @@ use hdc::{BinaryHv, RealHv, TrigMode};
 /// ```
 #[derive(Debug)]
 pub struct NonlinearEncoder {
-    /// Row-major Gaussian projection matrix: `dim` rows × `input_dim`.
-    weights: Vec<f32>,
-    /// `b`: random phase offsets, uniform in `[0, 2π)`.
-    phases: Vec<f32>,
+    tables: Arc<Tables>,
     input_dim: usize,
     dim: usize,
     /// Trig evaluation mode ([`TrigMode`] as a byte); atomic so the knob is
     /// flippable through `&self` on a shared encoder.
     trig: AtomicU8,
+}
+
+/// The spec-derived state of a [`NonlinearEncoder`], shared by every
+/// encoder of one `(input_dim, dim, seed)`.
+#[derive(Debug)]
+struct Tables {
+    /// Row-major Gaussian projection matrix: `dim` rows × `input_dim`.
+    weights: Vec<f32>,
+    /// `b`: random phase offsets, uniform in `[0, 2π)`.
+    phases: Vec<f32>,
     /// §3.2 int8 copy of the projection matrix (one scale per output dim),
     /// backing [`Encoder::encode_quantized_into`].
     quant: QuantizedWeights,
@@ -75,39 +89,16 @@ pub struct NonlinearEncoder {
     /// product-to-sum expansion (module docs), precomputed so the quantised
     /// tier evaluates **one** sine per component instead of a sin·cos pair.
     quant_half_sin: Vec<f32>,
-    /// Lane-major weight packing for the active SIMD level, built at first
-    /// batch encode so the per-call transpose cost disappears from the
-    /// serving path. `None` inside the lock when the active level is scalar.
+    /// Lane-major weight packing, built at the first batch encode under a
+    /// SIMD level so the per-call transpose cost disappears from the
+    /// serving path. It is never built while the active level is scalar,
+    /// so a spec first touched under `scalar` still packs once the
+    /// detected level is activated — the only SIMD level a process can run.
     packed: OnceLock<Option<PackedProjection>>,
 }
 
-impl Clone for NonlinearEncoder {
-    fn clone(&self) -> Self {
-        Self {
-            weights: self.weights.clone(),
-            phases: self.phases.clone(),
-            input_dim: self.input_dim,
-            dim: self.dim,
-            trig: AtomicU8::new(self.trig.load(Ordering::Relaxed)),
-            quant: self.quant.clone(),
-            quant_half_sin: self.quant_half_sin.clone(),
-            // Rebuilt lazily: the clone may first encode under a different
-            // dispatch level than the original.
-            packed: OnceLock::new(),
-        }
-    }
-}
-
-impl NonlinearEncoder {
-    /// Creates an encoder for `input_dim` features producing `dim`-wide
-    /// hypervectors, with all randomness derived from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input_dim == 0` or `dim == 0`.
-    pub fn new(input_dim: usize, dim: usize, seed: u64) -> Self {
-        assert!(input_dim > 0, "input_dim must be nonzero");
-        assert!(dim > 0, "dim must be nonzero");
+impl Tables {
+    fn generate(input_dim: usize, dim: usize, seed: u64) -> Self {
         let mut rng = HdRng::seed_from(seed);
         let scale = 1.0 / (input_dim as f32).sqrt();
         let weights: Vec<f32> = (0..dim * input_dim)
@@ -124,28 +115,131 @@ impl NonlinearEncoder {
         Self {
             weights,
             phases,
-            input_dim,
-            dim,
-            trig: AtomicU8::new(TrigMode::Exact.as_u8()),
             quant,
             quant_half_sin,
             packed: OnceLock::new(),
         }
     }
+}
 
-    /// The SIMD weight packing for the active dispatch level, or `None` when
-    /// it cannot be used (scalar level, or the level changed after the
-    /// packing was built).
+type SpecKey = (usize, usize, u64);
+
+/// Process-wide `spec → tables` map. It holds only `Weak` handles, so the
+/// tables die with the last encoder using them; dead entries are pruned
+/// whenever the map has doubled since the last prune, which keeps the map
+/// within a constant factor of the live specs at O(1) amortised cost per
+/// build.
+#[derive(Default)]
+struct TableCache {
+    map: HashMap<SpecKey, Weak<Tables>>,
+    /// Map length right after the last prune.
+    pruned_len: usize,
+}
+
+/// Below this many entries the cache is never pruned.
+const MIN_PRUNE_LEN: usize = 64;
+
+fn table_cache() -> MutexGuard<'static, TableCache> {
+    static CACHE: OnceLock<Mutex<TableCache>> = OnceLock::new();
+    // Every update (insert, retain) leaves the map of weak handles valid,
+    // so a guard poisoned by a panicking holder is safe to reuse.
+    CACHE
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+impl TableCache {
+    fn live(&self, key: &SpecKey) -> Option<Arc<Tables>> {
+        self.map.get(key).and_then(Weak::upgrade)
+    }
+
+    fn insert(&mut self, key: SpecKey, tables: &Arc<Tables>) {
+        self.map.insert(key, Arc::downgrade(tables));
+        if self.map.len() >= (2 * self.pruned_len).max(MIN_PRUNE_LEN) {
+            self.map.retain(|_, t| t.strong_count() > 0);
+            self.pruned_len = self.map.len();
+        }
+    }
+}
+
+/// The shared tables of `key`, generating them if no live encoder holds
+/// them.
+fn shared_tables(key: SpecKey) -> Arc<Tables> {
+    if let Some(tables) = table_cache().live(&key) {
+        return tables;
+    }
+    // Generated outside the lock: lookups of other specs must not queue
+    // behind `dim × input_dim` Gaussian draws. A thread racing on the same
+    // spec generated identical tables; the first one inserted wins.
+    let built = Arc::new(Tables::generate(key.0, key.1, key.2));
+    let mut cache = table_cache();
+    if let Some(tables) = cache.live(&key) {
+        return tables;
+    }
+    cache.insert(key, &built);
+    built
+}
+
+impl Clone for NonlinearEncoder {
+    fn clone(&self) -> Self {
+        Self {
+            tables: Arc::clone(&self.tables),
+            input_dim: self.input_dim,
+            dim: self.dim,
+            trig: AtomicU8::new(self.trig.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+impl NonlinearEncoder {
+    /// Creates an encoder for `input_dim` features producing `dim`-wide
+    /// hypervectors, with all randomness derived from `seed`. Shares the
+    /// tables of any live encoder of the same spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_dim == 0` or `dim == 0`.
+    pub fn new(input_dim: usize, dim: usize, seed: u64) -> Self {
+        assert!(input_dim > 0, "input_dim must be nonzero");
+        assert!(dim > 0, "dim must be nonzero");
+        Self {
+            tables: shared_tables((input_dim, dim, seed)),
+            input_dim,
+            dim,
+            trig: AtomicU8::new(TrigMode::Exact.as_u8()),
+        }
+    }
+
+    /// How many live encoders (clones included) share the tables of the
+    /// spec `(input_dim, dim, seed)`; `0` once the last one is dropped and
+    /// its tables are freed.
+    pub fn table_holders(input_dim: usize, dim: usize, seed: u64) -> usize {
+        table_cache()
+            .map
+            .get(&(input_dim, dim, seed))
+            .map_or(0, Weak::strong_count)
+    }
+
+    /// The SIMD weight packing for the active dispatch level, or `None`
+    /// when the active level is scalar.
     fn packed_for_active(&self) -> Option<&PackedProjection> {
-        self.packed
-            .get_or_init(|| PackedProjection::for_active(&self.weights, self.input_dim, self.dim))
+        let level = hdc::simd::active();
+        if level == SimdLevel::Scalar {
+            return None;
+        }
+        let t = &*self.tables;
+        t.packed
+            .get_or_init(|| {
+                PackedProjection::for_level(level, &t.weights, self.input_dim, self.dim)
+            })
             .as_ref()
-            .filter(|p| p.level() == hdc::simd::active())
+            .filter(|p| p.level() == level)
     }
 
     /// The random phase hypervector `b`.
     pub fn phases(&self) -> &[f32] {
-        &self.phases
+        &self.tables.phases
     }
 
     /// The projection row `W_d` for output component `d`.
@@ -159,7 +253,7 @@ impl NonlinearEncoder {
             "component index {d} out of range {}",
             self.dim
         );
-        &self.weights[d * self.input_dim..(d + 1) * self.input_dim]
+        &self.tables.weights[d * self.input_dim..(d + 1) * self.input_dim]
     }
 }
 
@@ -181,14 +275,15 @@ impl Encoder for NonlinearEncoder {
             features.len()
         );
         let fast = self.trig_mode() == TrigMode::Fast;
+        let t = &*self.tables;
         let mut out = Vec::with_capacity(self.dim);
         for d in 0..self.dim {
-            let row = &self.weights[d * self.input_dim..(d + 1) * self.input_dim];
+            let row = &t.weights[d * self.input_dim..(d + 1) * self.input_dim];
             let p: f32 = row.iter().zip(features).map(|(&w, &f)| w * f).sum();
             out.push(if fast {
-                fast_cos(p + self.phases[d]) * fast_sin(p)
+                fast_cos(p + t.phases[d]) * fast_sin(p)
             } else {
-                (p + self.phases[d]).cos() * p.sin()
+                (p + t.phases[d]).cos() * p.sin()
             });
         }
         RealHv::from_vec(out)
@@ -208,15 +303,16 @@ impl Encoder for NonlinearEncoder {
             features.len()
         );
         let fast = self.trig_mode() == TrigMode::Fast;
+        let t = &*self.tables;
         let mut out = Vec::with_capacity(self.dim);
         let mut words = vec![0u64; self.dim.div_ceil(64)];
         for d in 0..self.dim {
-            let row = &self.weights[d * self.input_dim..(d + 1) * self.input_dim];
+            let row = &t.weights[d * self.input_dim..(d + 1) * self.input_dim];
             let p: f32 = row.iter().zip(features).map(|(&w, &f)| w * f).sum();
             let v = if fast {
-                fast_cos(p + self.phases[d]) * fast_sin(p)
+                fast_cos(p + t.phases[d]) * fast_sin(p)
             } else {
-                (p + self.phases[d]).cos() * p.sin()
+                (p + t.phases[d]).cos() * p.sin()
             };
             if v > 0.0 {
                 words[d / 64] |= 1u64 << (d % 64);
@@ -229,6 +325,7 @@ impl Encoder for NonlinearEncoder {
     fn encode_batch_into(&self, rows: &[Vec<f32>], out: &mut [RealHv], threads: usize) {
         let threads = hdc::par::resolve_threads(threads);
         let mode = self.trig_mode();
+        let t = &*self.tables;
         hdc::par::chunked_zip_mut(rows, out, threads, |part, out_part| {
             let row_refs: Vec<&[f32]> = part.iter().map(Vec::as_slice).collect();
             // The pre-packed SIMD layout skips the per-call weight
@@ -236,9 +333,7 @@ impl Encoder for NonlinearEncoder {
             // `project_blocked` runs the same matvec bit-identically.
             match self.packed_for_active() {
                 Some(packed) => packed.project_into(&row_refs, out_part),
-                None => {
-                    project_blocked(&self.weights, self.input_dim, self.dim, &row_refs, out_part)
-                }
+                None => project_blocked(&t.weights, self.input_dim, self.dim, &row_refs, out_part),
             }
             // Trig post-op in place over the projected values; the exact arm
             // is the same expression as the scalar `encode` loop, so the
@@ -248,13 +343,13 @@ impl Encoder for NonlinearEncoder {
             for hv in out_part.iter_mut() {
                 match mode {
                     TrigMode::Exact => {
-                        for (v, &b) in hv.as_mut_slice().iter_mut().zip(&self.phases) {
+                        for (v, &b) in hv.as_mut_slice().iter_mut().zip(&t.phases) {
                             let p = *v;
                             *v = (p + b).cos() * p.sin();
                         }
                     }
                     TrigMode::Fast => {
-                        hdc::simd::nonlinear_post_fast(hv.as_mut_slice(), &self.phases);
+                        hdc::simd::nonlinear_post_fast(hv.as_mut_slice(), &t.phases);
                     }
                 }
             }
@@ -270,15 +365,16 @@ impl Encoder for NonlinearEncoder {
             features.len()
         );
         assert_eq!(out.len(), self.dim, "output width must match dim");
+        let t = &*self.tables;
         let mut row_q = Vec::with_capacity(self.input_dim);
         let row_scale = quantize_i8(features, &mut row_q);
-        self.quant.project_row_into(&row_q, row_scale, out);
+        t.quant.project_row_into(&row_q, row_scale, out);
         // The quantised tier is approximate by design, so it always takes
         // the fast polynomial trig regardless of the encoder's TrigMode —
         // the knob continues to govern only the full-precision paths. The
         // product-to-sum form (module docs) plus the precomputed bias table
         // costs one all-f32 sine per component instead of a sin·cos pair.
-        hdc::simd::nonlinear_post_quant(out, &self.phases, &self.quant_half_sin);
+        hdc::simd::nonlinear_post_quant(out, &t.phases, &t.quant_half_sin);
         true
     }
 
@@ -502,6 +598,99 @@ mod tests {
         for (e, f) in exact.as_slice().iter().zip(fast.as_slice()) {
             assert!((e - f).abs() <= tol, "exact={e} fast={f}");
         }
+    }
+
+    fn bits(hv: &RealHv) -> Vec<u32> {
+        hv.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn encoders_of_one_spec_share_tables_and_other_seeds_do_not() {
+        let a = NonlinearEncoder::new(3, 256, 0x5EED_0001);
+        let b = NonlinearEncoder::new(3, 256, 0x5EED_0001);
+        let other = NonlinearEncoder::new(3, 256, 0x5EED_0002);
+        assert!(Arc::ptr_eq(&a.tables, &b.tables));
+        assert!(Arc::ptr_eq(&a.tables, &a.clone().tables));
+        assert!(!Arc::ptr_eq(&a.tables, &other.tables));
+        assert_eq!(NonlinearEncoder::table_holders(3, 256, 0x5EED_0001), 2);
+        assert_eq!(NonlinearEncoder::table_holders(3, 256, 0x5EED_0002), 1);
+    }
+
+    #[test]
+    fn dropping_every_holder_frees_the_tables() {
+        let a = NonlinearEncoder::new(2, 128, 0x5EED_0003);
+        let b = a.clone();
+        let weak = Arc::downgrade(&a.tables);
+        assert_eq!(NonlinearEncoder::table_holders(2, 128, 0x5EED_0003), 2);
+        drop(a);
+        assert!(weak.upgrade().is_some(), "a live clone keeps the tables");
+        drop(b);
+        assert!(
+            weak.upgrade().is_none(),
+            "tables outlived their last holder"
+        );
+        assert_eq!(NonlinearEncoder::table_holders(2, 128, 0x5EED_0003), 0);
+    }
+
+    #[test]
+    fn trig_mode_stays_per_encoder_when_tables_are_shared() {
+        let spec = (4, 300, 0x5EED_0004);
+        let fast = NonlinearEncoder::new(spec.0, spec.1, spec.2);
+        let sibling = NonlinearEncoder::new(spec.0, spec.1, spec.2);
+        fast.set_trig_mode(TrigMode::Fast);
+        let fresh = NonlinearEncoder::new(spec.0, spec.1, spec.2);
+        assert_eq!(sibling.trig_mode(), TrigMode::Exact);
+        let rows: Vec<Vec<f32>> = (0..5)
+            .map(|i| vec![0.3 * i as f32, -0.7, 1.1, (i as f32).sin()])
+            .collect();
+        let mut got = vec![RealHv::default(); rows.len()];
+        let mut want = vec![RealHv::default(); rows.len()];
+        sibling.encode_batch_into(&rows, &mut got, 1);
+        fresh.encode_batch_into(&rows, &mut want, 1);
+        for (row, (g, w)) in rows.iter().zip(got.iter().zip(&want)) {
+            assert_eq!(bits(g), bits(w));
+            assert_eq!(bits(&sibling.encode(row)), bits(&fresh.encode(row)));
+        }
+        // The fast encoder really is in the other mode.
+        assert_ne!(bits(&fast.encode(&rows[1])), bits(&fresh.encode(&rows[1])));
+    }
+
+    #[test]
+    fn packing_first_touched_under_scalar_still_packs_at_the_detected_level() {
+        let detected = hdc::simd::detect();
+        if detected == SimdLevel::Scalar {
+            return; // no SIMD level on this CPU: nothing to pack
+        }
+        let prev = hdc::simd::active();
+        let enc = NonlinearEncoder::new(5, 77, 0x5EED_0005);
+        let rows: Vec<Vec<f32>> = (0..3).map(|i| vec![0.1 * i as f32; 5]).collect();
+        let mut scalar = vec![RealHv::default(); rows.len()];
+        let mut packed = vec![RealHv::default(); rows.len()];
+        hdc::simd::set_level(SimdLevel::Scalar).unwrap();
+        enc.encode_batch_into(&rows, &mut scalar, 1);
+        hdc::simd::set_level(detected).unwrap();
+        enc.encode_batch_into(&rows, &mut packed, 1);
+        let level = enc.packed_for_active().map(PackedProjection::level);
+        hdc::simd::set_level(prev).unwrap();
+        assert_eq!(level, Some(detected));
+        for (s, p) in scalar.iter().zip(&packed) {
+            assert_eq!(bits(s), bits(p));
+        }
+    }
+
+    #[test]
+    fn churning_distinct_seeds_keeps_the_cache_bounded() {
+        for seed in 0..1000u64 {
+            let enc = NonlinearEncoder::new(2, 16, 0x5EED_1000 + seed);
+            assert_eq!(enc.dim(), 16);
+        }
+        // Entries stay within twice the live specs seen at a prune (or the
+        // floor); without pruning this map would hold all 1000 seeds.
+        let entries = table_cache().map.len();
+        assert!(
+            entries <= 2 * MIN_PRUNE_LEN,
+            "cache holds {entries} entries"
+        );
     }
 
     #[test]

@@ -208,8 +208,26 @@ impl PackedProjection {
     ///
     /// Panics if `weights.len() != dim * input_dim`.
     pub fn for_active(weights: &[f32], input_dim: usize, dim: usize) -> Option<Self> {
+        Self::for_level(active(), weights, input_dim, dim)
+    }
+
+    /// Packs `weights` for `level`; `None` when `level` is scalar or this
+    /// CPU cannot run it (so [`PackedProjection::project_into`] never
+    /// reaches an unsupported instruction set).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != dim * input_dim`.
+    pub fn for_level(
+        level: SimdLevel,
+        weights: &[f32],
+        input_dim: usize,
+        dim: usize,
+    ) -> Option<Self> {
         assert_eq!(weights.len(), dim * input_dim, "weights must be dim × n");
-        let level = active();
+        if !supported(level) {
+            return None;
+        }
         let lanes = match level {
             SimdLevel::Scalar => return None,
             SimdLevel::Avx2 => 8,

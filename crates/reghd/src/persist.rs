@@ -339,6 +339,22 @@ fn read_config<R: Read>(r: &mut R) -> Result<RegHdConfig, PersistError> {
     Ok(cfg)
 }
 
+/// Most table cells (`input_dim × dim` projection weights, or
+/// `levels × dim` level-chain components) a persisted spec may ask an
+/// encoder to generate — the same ceiling [`r_hv`] puts on one
+/// hypervector. The spec is read from the stream, and a section CRC is a
+/// checksum, not a MAC, so the spec must be in range before it is built.
+const MAX_SPEC_CELLS: usize = 1 << 28;
+
+fn check_cells(what: &str, rows: usize, dim: usize) -> Result<(), PersistError> {
+    match rows.checked_mul(dim) {
+        Some(cells) if rows > 0 && cells <= MAX_SPEC_CELLS => Ok(()),
+        _ => Err(PersistError::Format(format!(
+            "implausible encoder shape: {what} {rows} x dim {dim}"
+        ))),
+    }
+}
+
 fn read_spec_checked<R: Read>(r: &mut R, dim: usize) -> Result<EncoderSpec, PersistError> {
     let spec = read_spec(r)?;
     if spec.dim() != dim {
@@ -347,7 +363,22 @@ fn read_spec_checked<R: Read>(r: &mut R, dim: usize) -> Result<EncoderSpec, Pers
             spec.dim()
         )));
     }
-    Ok(spec)
+    check_cells("input_dim", spec.input_dim(), dim)?;
+    match spec {
+        EncoderSpec::Rff { bandwidth, .. } if !(bandwidth > 0.0 && bandwidth.is_finite()) => Err(
+            PersistError::Format(format!("bad RFF bandwidth {bandwidth}")),
+        ),
+        EncoderSpec::IdLevel { levels, range, .. } => {
+            check_cells("levels", levels, dim)?;
+            if levels < 2 || range.0.partial_cmp(&range.1) != Some(std::cmp::Ordering::Less) {
+                return Err(PersistError::Format(format!(
+                    "bad ID-level spec: {levels} levels over {range:?}"
+                )));
+            }
+            Ok(spec)
+        }
+        _ => Ok(spec),
+    }
 }
 
 /// Serialises a trained model to any writer. `spec` must describe the
@@ -691,6 +722,66 @@ mod tests {
         buf[66] = 200;
         let err = load(&mut buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("cluster mode"), "err: {err}");
+    }
+
+    #[test]
+    fn out_of_range_specs_are_format_errors_not_panics() {
+        let (model, _, _) = trained(PredictionMode::Full);
+        let (online, _, _) = streamed(8);
+        let hostile = [
+            EncoderSpec::Nonlinear {
+                input_dim: 0,
+                dim: 256,
+                seed: 5,
+            },
+            EncoderSpec::Nonlinear {
+                input_dim: 1 << 40,
+                dim: 256,
+                seed: 5,
+            },
+            EncoderSpec::Projection {
+                input_dim: usize::MAX,
+                dim: 256,
+                seed: 5,
+            },
+            EncoderSpec::Rff {
+                input_dim: 3,
+                dim: 256,
+                bandwidth: f32::NAN,
+                seed: 5,
+            },
+            EncoderSpec::IdLevel {
+                input_dim: 3,
+                dim: 256,
+                levels: 1,
+                range: (0.0, 1.0),
+                seed: 5,
+            },
+            EncoderSpec::IdLevel {
+                input_dim: 3,
+                dim: 256,
+                levels: 1 << 40,
+                range: (0.0, 1.0),
+                seed: 5,
+            },
+            EncoderSpec::IdLevel {
+                input_dim: 3,
+                dim: 256,
+                levels: 4,
+                range: (1.0, 1.0),
+                seed: 5,
+            },
+        ];
+        for spec in &hostile {
+            let mut buf = Vec::new();
+            save(&model, spec, &mut buf).unwrap();
+            let err = load(&mut buf.as_slice()).unwrap_err();
+            assert!(matches!(err, PersistError::Format(_)), "{spec:?}: {err}");
+            buf.clear();
+            save_online(&online, spec, &mut buf).unwrap();
+            let err = load_online(&mut buf.as_slice()).unwrap_err();
+            assert!(matches!(err, PersistError::Format(_)), "{spec:?}: {err}");
+        }
     }
 
     #[test]

@@ -306,7 +306,8 @@ impl ModelRegistry {
 
     /// Sets the trigonometry mode applied to every loaded bundle (default
     /// [`TrigMode::Exact`]). Applies immediately to all models already in
-    /// the registry and to every future load/reload/publish. `Fast` trades
+    /// the registry, to every future load/reload/publish, and to models the
+    /// attached resolver returns (on their next lookup). `Fast` trades
     /// a bounded per-component error
     /// ([`hdc::kernels::FAST_TRIG_MAX_ABS_ERROR`]) for throughput; canary
     /// replays force `Exact` regardless, so hot-swap integrity checks stay
@@ -511,7 +512,15 @@ impl ModelRegistry {
             return Some(found);
         }
         let resolver = read_unpoisoned(&self.resolver).clone()?;
-        self.resolve_with_retry(&*resolver, name)
+        let served = self.resolve_with_retry(&*resolver, name)?;
+        // Resolved models bypass the load paths that apply the registry's
+        // trig mode, so apply it here — writing only on a mismatch, so a
+        // hot hit stays a read.
+        let mode = self.default_trig();
+        if served.bundle.trig_mode() != mode {
+            served.bundle.set_trig_mode(mode);
+        }
+        Some(served)
     }
 
     /// The retry + circuit-breaker wrapper around one resolver lookup.
@@ -1023,6 +1032,28 @@ mod tests {
         // list merges hot store models in stable name order.
         let names: Vec<String> = reg.list().into_iter().map(|m| m.name).collect();
         assert_eq!(names, ["local", "user-42"]);
+    }
+
+    #[test]
+    fn default_trig_reaches_resolver_backed_models() {
+        let reg = ModelRegistry::new();
+        reg.attach_resolver(Arc::new(FixedResolver {
+            entry: served_entry("user-7", 62),
+        }));
+        assert_eq!(
+            reg.get("user-7").unwrap().bundle.trig_mode(),
+            TrigMode::Exact
+        );
+        reg.set_default_trig(TrigMode::Fast);
+        assert_eq!(
+            reg.get("user-7").unwrap().bundle.trig_mode(),
+            TrigMode::Fast
+        );
+        reg.set_default_trig(TrigMode::Exact);
+        assert_eq!(
+            reg.get("user-7").unwrap().bundle.trig_mode(),
+            TrigMode::Exact
+        );
     }
 
     #[test]

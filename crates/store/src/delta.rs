@@ -160,7 +160,8 @@ impl ModelDelta {
     /// # Errors
     ///
     /// Base hash mismatch (delta applied to the wrong version), malformed
-    /// base, out-of-range patch indices, or a result-hash mismatch.
+    /// base, out-of-range patch indices, a changed feature count, or a
+    /// result-hash mismatch.
     pub fn apply(&self, base_bytes: &[u8]) -> Result<Vec<u8>, StoreError> {
         let got = fnv1a(base_bytes);
         if got != self.base_hash {
@@ -196,6 +197,15 @@ impl ModelDelta {
             None => base.model().center().cloned(),
         };
         let (feat_means, feat_stds, target_mean, target_std) = match &self.scalers {
+            // `compute` never changes the feature width, and the encoder
+            // below is generated from it: refuse before paying for that.
+            Some((m, ..)) if m.len() != base.num_features() => {
+                return Err(StoreError::Delta(format!(
+                    "delta changes the feature count from {} to {}",
+                    base.num_features(),
+                    m.len()
+                )));
+            }
             Some((m, s, tm, ts)) => (m.clone(), s.clone(), *tm, *ts),
             None => (
                 base.feat_means().to_vec(),
@@ -611,6 +621,18 @@ mod tests {
             .unwrap();
         let err = delta.apply(&other.to_bytes().unwrap()).unwrap_err();
         assert!(err.to_string().contains("base hash"), "{err}");
+    }
+
+    #[test]
+    fn delta_changing_the_feature_count_is_rejected() {
+        let base = trained(ClusterMode::Integer, PredictionMode::Full, 12);
+        let base_bytes = base.to_bytes().unwrap();
+        let mut delta = ModelDelta::compute(&base_bytes, 1, &perturbed(&base).to_bytes().unwrap())
+            .unwrap()
+            .unwrap();
+        delta.scalers = Some((vec![0.0; 3], vec![1.0; 3], 0.0, 1.0));
+        let err = delta.apply(&base_bytes).unwrap_err();
+        assert!(err.to_string().contains("feature count"), "{err}");
     }
 
     #[test]

@@ -145,8 +145,10 @@ fn validate_key(key: &str) -> Result<(), StoreError> {
 }
 
 /// Decodes a blob for serving (lazy canary) and wraps it as a registry
-/// entry.
-fn build_served(key: &str, version: u64, blob: &[u8]) -> Result<ServedModel, String> {
+/// entry. The metadata hash comes from the index entry, which holds the
+/// blob's FNV-1a (computed at admit, replayed from the log, or set by
+/// `bulk_alias`), so a cold load does not re-hash the blob.
+fn build_served(key: &str, image: ImageRef, blob: &[u8]) -> Result<ServedModel, String> {
     let bundle = ModelBundle::decode_serving(blob)?;
     let cfg = bundle.model().config();
     let canary_rows = SectionFrames::parse(blob)
@@ -154,8 +156,8 @@ fn build_served(key: &str, version: u64, blob: &[u8]) -> Result<ServedModel, Str
         .unwrap_or(0);
     let meta = ModelMeta {
         name: key.to_string(),
-        version,
-        hash: format!("{:016x}", fnv1a(blob)),
+        version: image.version,
+        hash: format!("{:016x}", image.hash),
         bytes: blob.len(),
         input_dim: bundle.num_features(),
         dim: cfg.dim,
@@ -335,7 +337,7 @@ impl ModelStore {
         image: ImageRef,
     ) -> Result<Arc<ServedModel>, StoreError> {
         let blob = shard.packs.read(image.loc)?;
-        let served = build_served(key, image.version, &blob).map_err(StoreError::Corrupt)?;
+        let served = build_served(key, image, &blob).map_err(StoreError::Corrupt)?;
         let mem = served.meta.mem;
         let served = Arc::new(served);
         drop(blob);
@@ -773,6 +775,26 @@ mod tests {
         assert_eq!(a2.meta.version, 2);
         // ...while the pinned old Arc is untouched.
         assert_eq!(a1.meta.version, 1);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn keys_aliasing_one_image_share_encoder_tables_after_cold_loads() {
+        let root = tmp_root("shared_tables");
+        let store = ModelStore::open(&root, one_shard(64 << 20)).unwrap();
+        let seed = 0x7AB1E5;
+        store
+            .bulk_alias("alias-", 2, &bundle(seed).to_bytes().unwrap())
+            .unwrap();
+        // `bundle` encodes with the spec (2, 128, seed ^ 0xC11); the
+        // validation decodes inside `bulk_alias` are gone by now.
+        let holders = || encoding::NonlinearEncoder::table_holders(2, 128, seed ^ 0xC11);
+        assert_eq!(holders(), 0);
+        let a = store.get("alias-0").unwrap();
+        assert_eq!(holders(), 1);
+        let b = store.get("alias-1").unwrap();
+        assert!(!Arc::ptr_eq(&a, &b), "two keys, two cold loads");
+        assert_eq!(holders(), 2, "the second cold load reused the tables");
         std::fs::remove_dir_all(&root).ok();
     }
 
