@@ -42,9 +42,10 @@
 //! (`0`, the default, uses all available cores; `1` is sequential).
 //! Chunked rows keep outputs **bit-identical** at every setting.
 //!
-//! `--trig fast` (eval/predict/serve) swaps the encoder's `sin`/`cos` for a
-//! range-reduced polynomial approximation with a documented error bound
-//! (`hdc::kernels::FAST_TRIG_MAX_ABS_ERROR`, ≈1.5e-6 per component) in
+//! `--trig fast` (eval/predict/serve) swaps the encoder's `sin`/`cos` for
+//! the polynomial approximation the binary tier also runs
+//! (`hdc::kernels::fast_sin`/`fast_cos`, error bound
+//! `hdc::kernels::FAST_TRIG_MAX_ABS_ERROR`, 1.5e-6 per component) in
 //! exchange for encoding throughput. The default `exact` reproduces the
 //! training-time arithmetic bit for bit; canary replays always force exact
 //! mode, so bundle integrity checks are unaffected by this knob.
@@ -385,7 +386,6 @@ fn cmd_train_stream(args: &Args) -> Result<(), String> {
         dim,
         models,
         seed,
-        threads,
         max_samples: Some(samples),
         checkpoint_every: (checkpoint_every > 0).then_some(checkpoint_every),
         checkpoint_dir: args.get("checkpoint-dir").map(Into::into),
@@ -413,7 +413,7 @@ fn cmd_train_stream(args: &Args) -> Result<(), String> {
 
     let registry = Arc::new(ModelRegistry::new());
     // Published checkpoints (and any model served from --serve-addr)
-    // predict on the same thread count as the trainer's canary path.
+    // predict on `--threads`.
     registry.set_default_threads(threads);
     if let Some(name) = args.get("publish-to") {
         trainer = trainer.with_publish(PublishTarget {

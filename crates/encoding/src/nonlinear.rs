@@ -108,10 +108,7 @@ impl Tables {
             .map(|_| (rng.next_f64() * std::f64::consts::TAU) as f32)
             .collect();
         let quant = QuantizedWeights::from_f32(&weights, input_dim, dim);
-        let quant_half_sin = phases
-            .iter()
-            .map(|&b| 0.5 * hdc::kernels::fast_sin_f32(b))
-            .collect();
+        let quant_half_sin = phases.iter().map(|&b| 0.5 * fast_sin(b)).collect();
         Self {
             weights,
             phases,
@@ -339,7 +336,7 @@ impl Encoder for NonlinearEncoder {
             // is the same expression as the scalar `encode` loop, so the
             // batch path stays bit-identical to it. The fast arm dispatches
             // to the SIMD lanes, which are bit-identical to the scalar
-            // `fast_cos`/`fast_sin` by construction.
+            // `fast_cos(p + b) · fast_sin(p)` by construction.
             for hv in out_part.iter_mut() {
                 match mode {
                     TrigMode::Exact => {
@@ -373,7 +370,7 @@ impl Encoder for NonlinearEncoder {
         // the fast polynomial trig regardless of the encoder's TrigMode —
         // the knob continues to govern only the full-precision paths. The
         // product-to-sum form (module docs) plus the precomputed bias table
-        // costs one all-f32 sine per component instead of a sin·cos pair.
+        // costs one `fast_sin` per component instead of a sin·cos pair.
         hdc::simd::nonlinear_post_quant(out, &t.phases, &t.quant_half_sin);
         true
     }

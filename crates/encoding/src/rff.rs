@@ -184,10 +184,10 @@ impl Encoder for RffEncoder {
         let mut row_q = Vec::with_capacity(self.input_dim);
         let row_scale = quantize_i8(features, &mut row_q);
         self.quant.project_row_into(&row_q, row_scale, out);
-        // Always the fast polynomial cos — on the quantised tier's all-f32
-        // range reduction, which is approximate by design and independent
-        // of the encoder's TrigMode knob.
-        hdc::simd::cos_phase_post_quant(out, &self.phases);
+        // Always the fast polynomial cos, whatever the encoder's TrigMode
+        // knob says: the quantised tier is approximate by design, and it
+        // shares the `TrigMode::Fast` post-op.
+        hdc::simd::cos_phase_post_fast(out, &self.phases);
         true
     }
 

@@ -31,11 +31,14 @@
 //!
 //! # Fast trigonometry
 //!
-//! [`TrigMode::Fast`] swaps `libm` sin/cos for a range-reduced polynomial
-//! evaluation ([`fast_sin`]/[`fast_cos`]) with absolute error bounded by
-//! [`FAST_TRIG_MAX_ABS_ERROR`]. It is strictly opt-in: the default
-//! [`TrigMode::Exact`] keeps the bit-exact `libm` path, and anything that
-//! must replay bit-exactly (training, canary replay) always runs `Exact`.
+//! [`TrigMode::Fast`] swaps `libm` sin/cos for a polynomial evaluation
+//! ([`fast_sin`]/[`fast_cos`]) after an all-f32 Cody–Waite range
+//! reduction, with absolute error bounded by [`FAST_TRIG_MAX_ABS_ERROR`].
+//! It is the only approximate trig in the workspace: the int8 inference
+//! tier runs the same pair. It is strictly opt-in for the full-precision
+//! paths: the default [`TrigMode::Exact`] keeps the bit-exact `libm` path,
+//! and anything that must replay bit-exactly (training, canary replay)
+//! always runs `Exact`.
 
 use crate::bipolar::BipolarHv;
 use crate::dense::RealHv;
@@ -55,8 +58,8 @@ pub enum TrigMode {
     /// `libm` sin/cos — bit-exact, the default everywhere.
     #[default]
     Exact,
-    /// Range-reduced polynomial sin/cos with absolute error bounded by
-    /// [`FAST_TRIG_MAX_ABS_ERROR`]. Opt-in, inference-only.
+    /// Polynomial sin/cos ([`fast_sin`]/[`fast_cos`]) with absolute error
+    /// bounded by [`FAST_TRIG_MAX_ABS_ERROR`]. Opt-in, inference-only.
     Fast,
 }
 
@@ -87,19 +90,32 @@ impl TrigMode {
 /// `kernel_equivalence` suite.
 pub const FAST_TRIG_MAX_ABS_ERROR: f32 = 1.5e-6;
 
-/// Range reduction: writes `x = k·π/2 + r` with `r ∈ [−π/4, π/4]` and
-/// returns `(k mod 4, r)`. The reduction runs in `f64` so the quadrant and
-/// remainder stay accurate across the documented `|x| ≤ 1e4` range.
+// Cody–Waite split of π/2 for the all-f32 range reduction: the three pieces
+// sum to π/2. `PI2_A` has 8 significant bits and `PI2_B` 11, so `k · PI2_A`
+// and `k · PI2_B` are exact for `|k| < 2¹³`, i.e. `|x| ≲ 1.28e4`, which
+// covers the documented domain. Shared with the SIMD backends so every lane
+// runs the identical op sequence.
+pub(crate) const PI2_A: f32 = 1.570_312_5;
+// The written digits are the exact decimal values of the f32 pieces; the
+// truncations clippy suggests round to the same bits but hide the split.
+#[allow(clippy::excessive_precision)]
+pub(crate) const PI2_B: f32 = 4.837_512_97e-4;
+#[allow(clippy::excessive_precision)]
+pub(crate) const PI2_C: f32 = 7.549_789_95e-8;
+
+/// Range reduction: writes `x = k·π/2 + r` with `r` in (about)
+/// `[−π/4, π/4]` and returns `(k mod 4, r)`. All f32: `k` is rounded
+/// ties-to-even so the SIMD lanes (`_mm256_round_ps` / `vrndnq_f32`) match
+/// bit-for-bit, and `r` is peeled off in three Cody–Waite steps.
 #[inline]
-fn reduce_quarter(x: f32) -> (u8, f32) {
-    let xd = f64::from(x);
-    let k = (xd * std::f64::consts::FRAC_2_PI).round();
-    let r = (xd - k * std::f64::consts::FRAC_PI_2) as f32;
-    // `as` saturates (and maps NaN to 0), so pathological inputs still
-    // produce a well-defined quadrant; the NaN remainder propagates.
-    // `& 3` is `rem_euclid(4)` on two's complement.
-    let q = (k as i64 & 3) as u8;
-    (q, r)
+fn reduce(x: f32) -> (i32, f32) {
+    let k = (x * std::f32::consts::FRAC_2_PI).round_ties_even();
+    let r = ((x - k * PI2_A) - k * PI2_B) - k * PI2_C;
+    // `as` saturates (NaN → 0); `k` is integral so in-range casts are exact
+    // and the quadrant agrees with the SIMD lanes' `cvtps` conversions. The
+    // NaN remainder propagates. `& 3` is `rem_euclid(4)` on two's
+    // complement.
+    ((k as i32) & 3, r)
 }
 
 /// Taylor sine on the reduced range `[−π/4, π/4]`.
@@ -117,10 +133,11 @@ fn cos_poly(r: f32) -> f32 {
 }
 
 /// Polynomial `sin(x)` with absolute error ≤ [`FAST_TRIG_MAX_ABS_ERROR`]
-/// for `|x| ≤ 1e4`. NaN and infinite inputs return NaN, like `libm`.
+/// for `|x| ≤ 1e4`; outside that the reduction degrades gracefully. NaN
+/// and infinite inputs return NaN, like `libm`.
 #[inline]
 pub fn fast_sin(x: f32) -> f32 {
-    let (q, r) = reduce_quarter(x);
+    let (q, r) = reduce(x);
     // Both polynomials are evaluated and the quadrant picks between them
     // with selects: the quadrant is data-dependent, so a branch here
     // mispredicts on essentially every element and blocks vectorization,
@@ -135,72 +152,13 @@ pub fn fast_sin(x: f32) -> f32 {
     }
 }
 
-/// Polynomial `cos(x)` with absolute error ≤ [`FAST_TRIG_MAX_ABS_ERROR`]
-/// for `|x| ≤ 1e4`. NaN and infinite inputs return NaN, like `libm`.
+/// Polynomial `cos(x)` with the range reduction of [`fast_sin`]; same
+/// error bound and domain. NaN and infinite inputs return NaN.
 #[inline]
 pub fn fast_cos(x: f32) -> f32 {
-    let (q, r) = reduce_quarter(x);
+    let (q, r) = reduce(x);
     // Branchless quadrant selection — see `fast_sin`. cos is negative in
     // quadrants 1 and 2, i.e. exactly when bit 1 of `q + 1` is set.
-    let s = sin_poly(r);
-    let c = cos_poly(r);
-    let v = if q & 1 == 0 { c } else { s };
-    if (q + 1) & 2 == 0 {
-        v
-    } else {
-        -v
-    }
-}
-
-/// Absolute error bound for [`fast_sin_f32`]/[`fast_cos_f32`] versus the
-/// `f64` reference, valid for `|x| ≤ 1e3` (the quantised tier's arguments —
-/// an int8 projection plus a phase — sit far inside that). Looser than
-/// [`FAST_TRIG_MAX_ABS_ERROR`] because the range reduction stays in f32.
-pub const QUANT_TRIG_MAX_ABS_ERROR: f32 = 1e-5;
-
-// Cody–Waite split of π/2 for the all-f32 range reduction: the three pieces
-// sum to π/2, each short enough that `k · piece` is exact for the `k` range
-// produced by `|x| ≤ 1e3`. Shared with the SIMD backends so every lane runs
-// the identical op sequence.
-pub(crate) const PI2_A: f32 = 1.570_312_5;
-// The written digits are the exact decimal values of the f32 pieces; the
-// truncations clippy suggests round to the same bits but hide the split.
-#[allow(clippy::excessive_precision)]
-pub(crate) const PI2_B: f32 = 4.837_512_97e-4;
-#[allow(clippy::excessive_precision)]
-pub(crate) const PI2_C: f32 = 7.549_789_95e-8;
-
-/// Polynomial `sin(x)` with an **all-f32 range reduction** — the quantised
-/// inference tier's trig, roughly 3× cheaper than [`fast_sin`] because no
-/// lane ever widens to f64. Absolute error ≤ [`QUANT_TRIG_MAX_ABS_ERROR`]
-/// for `|x| ≤ 1e3`; outside that the reduction degrades gracefully (the
-/// full-precision paths keep using [`fast_sin`]). Rounds the quadrant index
-/// ties-to-even so the SIMD lanes (`_mm256_round_ps` / `vrndnq_f32`) match
-/// bit-for-bit. NaN and infinite inputs return NaN.
-#[inline]
-pub fn fast_sin_f32(x: f32) -> f32 {
-    let k = (x * std::f32::consts::FRAC_2_PI).round_ties_even();
-    let r = ((x - k * PI2_A) - k * PI2_B) - k * PI2_C;
-    // `as` saturates (NaN → 0); `k` is integral so in-range casts are exact
-    // and the quadrant agrees with the SIMD lanes' `cvtps` conversions.
-    let q = (k as i32) & 3;
-    let s = sin_poly(r);
-    let c = cos_poly(r);
-    let v = if q & 1 == 0 { s } else { c };
-    if q & 2 == 0 {
-        v
-    } else {
-        -v
-    }
-}
-
-/// Polynomial `cos(x)` with the all-f32 range reduction of
-/// [`fast_sin_f32`]; same error bound and domain.
-#[inline]
-pub fn fast_cos_f32(x: f32) -> f32 {
-    let k = (x * std::f32::consts::FRAC_2_PI).round_ties_even();
-    let r = ((x - k * PI2_A) - k * PI2_B) - k * PI2_C;
-    let q = (k as i32) & 3;
     let s = sin_poly(r);
     let c = cos_poly(r);
     let v = if q & 1 == 0 { c } else { s };
@@ -549,63 +507,35 @@ mod tests {
 
     #[test]
     fn fast_trig_honours_documented_error_bound() {
-        // Dense sweep over the encoders' working range plus a coarser sweep
-        // out to the documented |x| ≤ 1e4 limit.
+        // Dense sweep over the encoders' working range, a finer one over the
+        // int8 tier's ±1e3, and a coarser one out to the documented
+        // |x| ≤ 1e4 limit.
         let mut max_err = 0.0f64;
+        let mut check = |xf: f32| {
+            max_err = max_err.max((f64::from(fast_sin(xf)) - f64::from(xf).sin()).abs());
+            max_err = max_err.max((f64::from(fast_cos(xf)) - f64::from(xf).cos()).abs());
+        };
         let mut x = -20.0f64;
         while x <= 20.0 {
-            let xf = x as f32;
-            max_err = max_err.max((f64::from(fast_sin(xf)) - f64::from(xf).sin()).abs());
-            max_err = max_err.max((f64::from(fast_cos(xf)) - f64::from(xf).cos()).abs());
+            check(x as f32);
             x += 1e-3;
         }
-        let mut x = -1e4f64;
-        while x <= 1e4 {
-            let xf = x as f32;
-            max_err = max_err.max((f64::from(fast_sin(xf)) - f64::from(xf).sin()).abs());
-            max_err = max_err.max((f64::from(fast_cos(xf)) - f64::from(xf).cos()).abs());
-            x += 0.37;
+        for (lim, step) in [(1e3f64, 0.037f64), (1e4, 0.37)] {
+            let mut x = -lim;
+            while x <= lim {
+                check(x as f32);
+                x += step;
+            }
         }
+        check(1e4);
+        check(-1e4);
         assert!(
             max_err <= f64::from(FAST_TRIG_MAX_ABS_ERROR),
             "measured max error {max_err:e} exceeds the documented bound"
         );
-    }
-
-    #[test]
-    fn fast_trig_propagates_non_finite_inputs() {
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             assert!(fast_sin(bad).is_nan());
             assert!(fast_cos(bad).is_nan());
-        }
-    }
-
-    #[test]
-    fn quant_trig_honours_documented_error_bound() {
-        // Dense sweep over the quantised tier's working range plus a coarser
-        // sweep out to the documented |x| ≤ 1e3 limit.
-        let mut max_err = 0.0f64;
-        let mut x = -20.0f64;
-        while x <= 20.0 {
-            let xf = x as f32;
-            max_err = max_err.max((f64::from(fast_sin_f32(xf)) - f64::from(xf).sin()).abs());
-            max_err = max_err.max((f64::from(fast_cos_f32(xf)) - f64::from(xf).cos()).abs());
-            x += 1e-3;
-        }
-        let mut x = -1e3f64;
-        while x <= 1e3 {
-            let xf = x as f32;
-            max_err = max_err.max((f64::from(fast_sin_f32(xf)) - f64::from(xf).sin()).abs());
-            max_err = max_err.max((f64::from(fast_cos_f32(xf)) - f64::from(xf).cos()).abs());
-            x += 0.037;
-        }
-        assert!(
-            max_err <= f64::from(QUANT_TRIG_MAX_ABS_ERROR),
-            "measured max error {max_err:e} exceeds the documented bound"
-        );
-        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            assert!(fast_sin_f32(bad).is_nan());
-            assert!(fast_cos_f32(bad).is_nan());
         }
     }
 

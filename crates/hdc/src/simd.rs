@@ -28,22 +28,38 @@
 //! [`crate::kernels::project_blocked`]'s scalar path — the property the
 //! repo-wide equivalence suite asserts.
 //!
-//! The fast-trig path is trickier: the scalar range reduction uses
-//! `f64::round` (round-half-away-from-zero), which has no direct AVX2
-//! equivalent (`roundpd` rounds ties to even). The SIMD version emulates
-//! half-away exactly — round-to-nearest, then a tie fixup to
-//! `trunc(x) ± 1` on lanes where `|x − nearest| == 0.5` — so every lane
-//! reproduces the scalar [`crate::kernels::fast_sin`]/
-//! [`crate::kernels::fast_cos`] bit-for-bit on finite inputs. (Non-finite
-//! inputs produce NaN on both paths; the NaN sign bit is unspecified.)
+//! The fast-trig post-ops run the scalar [`crate::kernels::fast_sin`]/
+//! [`crate::kernels::fast_cos`] op sequence per lane, all in f32 (8 lanes
+//! on AVX2, 4 on NEON): the hardware nearest-even rounding
+//! (`_mm256_round_ps` / `vrndnq_f32`) is the scalar `round_ties_even`, the
+//! Cody–Waite steps and the Horner chains issue every multiply, add and
+//! subtract as its own instruction, and the f32 → i32 conversion of the
+//! integral quadrant index is exact. So every lane reproduces the scalar expression bit-for-bit on
+//! finite inputs. (Non-finite inputs produce NaN on both paths; the NaN
+//! sign bit is unspecified.)
 //!
 //! # Quantised-tier primitives
 //!
 //! The int8 dot kernel ([`dot_i8`]) and the popcount helpers
 //! ([`popcount_words`], [`hamming_words`]) back the bit-packed inference
 //! tier; both are integer-exact, so dispatch never changes their results.
+//!
+//! # Safety of the dispatch sites
+//!
+//! Every `unsafe` block in this file calls one `avx2::*`/`neon::*` kernel
+//! from a match on a dispatch level, and relies on two invariants:
+//!
+//! * **The level is runnable.** [`set_level`] refuses a level the CPU
+//!   cannot run, `REGHD_SIMD` falls back to `scalar` for one, and
+//!   [`PackedProjection::for_level`] builds no packing for one. So the
+//!   `Avx2` arm is reached only when [`detect`] found AVX2 and `popcnt`,
+//!   and the `Neon` arm only on aarch64, where NEON is mandatory.
+//! * **The shapes hold.** Each entry point asserts (or its caller in
+//!   [`crate::kernels`] asserts) the slice lengths the kernel's `# Safety`
+//!   section names before it dispatches.
 
 #![allow(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -276,10 +292,16 @@ impl PackedProjection {
         }
         match self.level {
             #[cfg(target_arch = "x86_64")]
+            // SAFETY: `for_level` packs only for a level this CPU runs, and
+            // built `wt`/`rem` in the 8-lane layout for `input_dim × dim`;
+            // the asserts above check the rows and reset the outputs.
             SimdLevel::Avx2 => unsafe {
                 avx2::project_packed(&self.wt, &self.rem, self.input_dim, self.dim, rows, outs)
             },
             #[cfg(target_arch = "aarch64")]
+            // SAFETY: NEON is mandatory on aarch64; `for_level` built
+            // `wt`/`rem` in the 4-lane layout for `input_dim × dim`, and the
+            // asserts above check the rows and reset the outputs.
             SimdLevel::Neon => unsafe {
                 neon::project_packed(&self.wt, &self.rem, self.input_dim, self.dim, rows, outs)
             },
@@ -307,11 +329,17 @@ pub(crate) fn project_rowmajor_simd(
     match active() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
+            // SAFETY: the active level is runnable (module docs), and
+            // `kernels::project_blocked` validated the shapes and reset the
+            // outputs before dispatching here.
             unsafe { avx2::project_rowmajor(weights, input_dim, dim, rows, outs) };
             true
         }
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => {
+            // SAFETY: NEON is mandatory on aarch64, and
+            // `kernels::project_blocked` validated the shapes and reset the
+            // outputs before dispatching here.
             unsafe { neon::project_rowmajor(weights, input_dim, dim, rows, outs) };
             true
         }
@@ -331,11 +359,17 @@ pub(crate) fn project_bipolar_simd(
     match active() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
+            // SAFETY: the active level is runnable (module docs), and
+            // `kernels::project_bipolar_blocked` validated the shapes and
+            // reset the outputs before dispatching here.
             unsafe { avx2::project_bipolar(bases, dim, rows, outs) };
             true
         }
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => {
+            // SAFETY: NEON is mandatory on aarch64, and
+            // `kernels::project_bipolar_blocked` validated the shapes and
+            // reset the outputs before dispatching here.
             unsafe { neon::project_bipolar(bases, dim, rows, outs) };
             true
         }
@@ -344,12 +378,13 @@ pub(crate) fn project_bipolar_simd(
 }
 
 // ---------------------------------------------------------------------------
-// Fast-trig post-ops (TrigMode::Fast only; the Exact path stays libm).
+// Fast-trig post-ops: `TrigMode::Fast` and the int8 tier (the Exact path
+// stays libm).
 // ---------------------------------------------------------------------------
 
 /// In-place `v[d] = fast_cos(v[d] + phases[d]) · fast_sin(v[d])` — the
-/// `NonlinearEncoder` post-op — dispatched to the active level and
-/// bit-identical to the scalar loop.
+/// `NonlinearEncoder` post-op under `TrigMode::Fast` — dispatched to the
+/// active level and bit-identical to the scalar loop.
 ///
 /// # Panics
 ///
@@ -358,8 +393,12 @@ pub fn nonlinear_post_fast(vals: &mut [f32], phases: &[f32]) {
     assert_eq!(vals.len(), phases.len(), "vals/phases length mismatch");
     match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the active level is runnable (module docs); lengths are
+        // asserted equal above.
         SimdLevel::Avx2 => unsafe { avx2::nonlinear_post(vals, phases) },
         #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is mandatory on aarch64; lengths are asserted equal
+        // above.
         SimdLevel::Neon => unsafe { neon::nonlinear_post(vals, phases) },
         _ => {
             for (v, &b) in vals.iter_mut().zip(phases) {
@@ -370,7 +409,9 @@ pub fn nonlinear_post_fast(vals: &mut [f32], phases: &[f32]) {
     }
 }
 
-/// In-place `v[d] = fast_cos(v[d] + phases[d])` — the `RffEncoder` post-op.
+/// In-place `v[d] = fast_cos(v[d] + phases[d])` — the `RffEncoder` post-op,
+/// shared by its `TrigMode::Fast` path and its int8 tier. Bit-identical
+/// across dispatch levels.
 ///
 /// # Panics
 ///
@@ -379,12 +420,59 @@ pub fn cos_phase_post_fast(vals: &mut [f32], phases: &[f32]) {
     assert_eq!(vals.len(), phases.len(), "vals/phases length mismatch");
     match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the active level is runnable (module docs); lengths are
+        // asserted equal above.
         SimdLevel::Avx2 => unsafe { avx2::cos_phase_post(vals, phases) },
         #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is mandatory on aarch64; lengths are asserted equal
+        // above.
         SimdLevel::Neon => unsafe { neon::cos_phase_post(vals, phases) },
         _ => {
             for (v, &b) in vals.iter_mut().zip(phases) {
                 *v = crate::kernels::fast_cos(*v + b);
+            }
+        }
+    }
+}
+
+/// In-place quantised-tier nonlinear post-op over the int8 projection:
+///
+/// ```text
+/// v[d] = 0.5 · fast_sin(2·v[d] + phases[d]) − half_sin_phases[d]
+/// ```
+///
+/// which is `cos(v + b) · sin(v)` rewritten through the product-to-sum
+/// identity `sin(p)·cos(p + b) = ½·sin(2p + b) − ½·sin(b)` — one trig
+/// evaluation per element instead of two, with `½·sin(b)` precomputed per
+/// dimension by the encoder. Bit-identical across dispatch levels
+/// (elementwise op, identical per-lane sequence). Only the int8 tier uses
+/// this: rounding `2p + b` to f32 costs up to ~7e-4 of accuracy at
+/// `|p| = 1e4`, so the full-precision `TrigMode::Fast` path keeps
+/// [`nonlinear_post_fast`]'s two evaluations.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ.
+pub fn nonlinear_post_quant(vals: &mut [f32], phases: &[f32], half_sin_phases: &[f32]) {
+    assert_eq!(vals.len(), phases.len(), "vals/phases length mismatch");
+    assert_eq!(
+        vals.len(),
+        half_sin_phases.len(),
+        "vals/half_sin_phases length mismatch"
+    );
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the active level is runnable (module docs); all three
+        // lengths are asserted equal above.
+        SimdLevel::Avx2 => unsafe { avx2::nonlinear_post_quant(vals, phases, half_sin_phases) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is mandatory on aarch64; all three lengths are
+        // asserted equal above.
+        SimdLevel::Neon => unsafe { neon::nonlinear_post_quant(vals, phases, half_sin_phases) },
+        _ => {
+            for ((v, &b), &hs) in vals.iter_mut().zip(phases).zip(half_sin_phases) {
+                let p = *v;
+                *v = 0.5 * crate::kernels::fast_sin(2.0 * p + b) - hs;
             }
         }
     }
@@ -406,6 +494,8 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     assert_eq!(a.len(), b.len(), "dot_i8: length mismatch");
     match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the active level is runnable (module docs); lengths are
+        // asserted equal above.
         SimdLevel::Avx2 => unsafe { avx2::dot_i8(a, b) },
         _ => a
             .iter()
@@ -439,6 +529,8 @@ pub fn project_i8_rowmajor(
     assert_eq!(row.len(), n, "row width must match n");
     match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the active level is runnable (module docs); the three
+        // shape asserts above are the kernel's preconditions.
         SimdLevel::Avx2 => unsafe { avx2::project_i8(q, n, scales, row, row_scale, out) },
         _ => {
             for (d, o) in out.iter_mut().enumerate() {
@@ -449,67 +541,6 @@ pub fn project_i8_rowmajor(
                     .map(|(&x, &y)| i32::from(x) * i32::from(y))
                     .sum();
                 *o = dot as f32 * (scales[d] * row_scale);
-            }
-        }
-    }
-}
-
-/// In-place quantised-tier nonlinear post-op over the int8 projection:
-///
-/// ```text
-/// v[d] = 0.5 · fast_sin_f32(2·v[d] + phases[d]) − half_sin_phases[d]
-/// ```
-///
-/// which is `cos(v + b) · sin(v)` rewritten through the product-to-sum
-/// identity `sin(p)·cos(p + b) = ½·sin(2p + b) − ½·sin(b)` — one trig
-/// evaluation per element instead of two, with `½·sin(b)` precomputed per
-/// dimension by the encoder. Runs the all-f32 range reduction
-/// ([`crate::kernels::fast_sin_f32`]), so the SIMD lanes never widen to f64;
-/// bit-identical across dispatch levels (elementwise op, identical per-lane
-/// sequence). Only the quantised tier uses this: the full-precision
-/// `TrigMode::Fast` paths keep [`nonlinear_post_fast`]'s tighter bound.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn nonlinear_post_quant(vals: &mut [f32], phases: &[f32], half_sin_phases: &[f32]) {
-    assert_eq!(vals.len(), phases.len(), "vals/phases length mismatch");
-    assert_eq!(
-        vals.len(),
-        half_sin_phases.len(),
-        "vals/half_sin_phases length mismatch"
-    );
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { avx2::nonlinear_post_quant(vals, phases, half_sin_phases) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::nonlinear_post_quant(vals, phases, half_sin_phases) },
-        _ => {
-            for ((v, &b), &hs) in vals.iter_mut().zip(phases).zip(half_sin_phases) {
-                let p = *v;
-                *v = 0.5 * crate::kernels::fast_sin_f32(2.0 * p + b) - hs;
-            }
-        }
-    }
-}
-
-/// In-place `v[d] = fast_cos_f32(v[d] + phases[d])` — the `RffEncoder`'s
-/// quantised-tier post-op on the all-f32 range reduction. Bit-identical
-/// across dispatch levels.
-///
-/// # Panics
-///
-/// Panics if `vals` and `phases` differ in length.
-pub fn cos_phase_post_quant(vals: &mut [f32], phases: &[f32]) {
-    assert_eq!(vals.len(), phases.len(), "vals/phases length mismatch");
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { avx2::cos_phase_post_quant(vals, phases) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::cos_phase_post_quant(vals, phases) },
-        _ => {
-            for (v, &b) in vals.iter_mut().zip(phases) {
-                *v = crate::kernels::fast_cos_f32(*v + b);
             }
         }
     }
@@ -533,6 +564,8 @@ pub fn pack_signs(vals: &[f32], words: &mut [u64]) {
     words.fill(0);
     match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the active level is runnable (module docs); `words` has
+        // the asserted length and was zeroed above.
         SimdLevel::Avx2 => unsafe { avx2::pack_signs(vals, words) },
         _ => {
             for (d, &v) in vals.iter().enumerate() {
@@ -553,8 +586,11 @@ pub fn pack_signs(vals: &[f32], words: &mut [u64]) {
 pub fn abs_sq_sums(vals: &[f32]) -> (f64, f64) {
     match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the active level is runnable (module docs); the kernel
+        // reads any slice.
         SimdLevel::Avx2 => unsafe { avx2::abs_sq_sums(vals) },
         #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is mandatory on aarch64; the kernel reads any slice.
         SimdLevel::Neon => unsafe { neon::abs_sq_sums(vals) },
         _ => scalar_abs_sq_sums(vals),
     }
@@ -589,6 +625,8 @@ fn scalar_abs_sq_sums(vals: &[f32]) -> (f64, f64) {
 pub fn popcount_words(words: &[u64]) -> usize {
     match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the `Avx2` level is active only when `popcnt` was
+        // detected too (module docs).
         SimdLevel::Avx2 => unsafe { avx2::popcount(words) },
         _ => words.iter().map(|w| w.count_ones() as usize).sum(),
     }
@@ -603,6 +641,8 @@ pub fn hamming_words(a: &[u64], b: &[u64]) -> usize {
     assert_eq!(a.len(), b.len(), "hamming_words: length mismatch");
     match active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the `Avx2` level is active only when `popcnt` was
+        // detected too (module docs); lengths are asserted equal above.
         SimdLevel::Avx2 => unsafe { avx2::hamming(a, b) },
         _ => a
             .iter()
@@ -773,146 +813,10 @@ mod avx2 {
         }
     }
 
-    // -- fast trig ---------------------------------------------------------
+    // -- fast trig (all-f32 range reduction, 8 lanes) ----------------------
 
-    /// `f64::round` (round-half-away-from-zero) on 4 f64 lanes: nearest-even
-    /// hardware rounding plus a tie fixup to `trunc(x) ± 1`, exact on every
-    /// finite lane.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn round_half_away(x: __m256d) -> __m256d {
-        let nearest = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(x);
-        let diff = _mm256_sub_pd(x, nearest);
-        let absmask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fff_ffff_ffff_ffff));
-        let tie = _mm256_cmp_pd::<_CMP_EQ_OQ>(_mm256_and_pd(diff, absmask), _mm256_set1_pd(0.5));
-        let signbit = _mm256_andnot_pd(absmask, x);
-        let away = _mm256_add_pd(
-            _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x),
-            _mm256_or_pd(signbit, _mm256_set1_pd(1.0)),
-        );
-        _mm256_blendv_pd(nearest, away, tie)
-    }
-
-    /// 4-lane `reduce_quarter`: same f64 op sequence as the scalar version,
-    /// quadrant via exact `k mod 4` arithmetic on the integral `k`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn reduce4(x: __m128) -> (__m128i, __m128) {
-        let xd = _mm256_cvtps_pd(x);
-        let k = round_half_away(_mm256_mul_pd(
-            xd,
-            _mm256_set1_pd(std::f64::consts::FRAC_2_PI),
-        ));
-        let r = _mm256_cvtpd_ps(_mm256_sub_pd(
-            xd,
-            _mm256_mul_pd(k, _mm256_set1_pd(std::f64::consts::FRAC_PI_2)),
-        ));
-        // k mod 4 (euclidean), exact in f64 for integral k: k − 4·⌊k/4⌋.
-        let m = _mm256_sub_pd(
-            k,
-            _mm256_mul_pd(
-                _mm256_floor_pd(_mm256_mul_pd(k, _mm256_set1_pd(0.25))),
-                _mm256_set1_pd(4.0),
-            ),
-        );
-        (_mm256_cvtpd_epi32(m), r)
-    }
-
-    /// Taylor sine on the reduced range — the scalar `sin_poly` Horner
-    /// chain, per lane.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sin_poly4(r: __m128) -> __m128 {
-        let r2 = _mm_mul_ps(r, r);
-        let mut p = _mm_set1_ps(-1.0 / 5040.0);
-        p = _mm_add_ps(_mm_set1_ps(1.0 / 120.0), _mm_mul_ps(r2, p));
-        p = _mm_add_ps(_mm_set1_ps(-1.0 / 6.0), _mm_mul_ps(r2, p));
-        p = _mm_add_ps(_mm_set1_ps(1.0), _mm_mul_ps(r2, p));
-        _mm_mul_ps(r, p)
-    }
-
-    /// Taylor cosine on the reduced range — the scalar `cos_poly` chain.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn cos_poly4(r: __m128) -> __m128 {
-        let r2 = _mm_mul_ps(r, r);
-        let mut p = _mm_set1_ps(1.0 / 40320.0);
-        p = _mm_add_ps(_mm_set1_ps(-1.0 / 720.0), _mm_mul_ps(r2, p));
-        p = _mm_add_ps(_mm_set1_ps(1.0 / 24.0), _mm_mul_ps(r2, p));
-        p = _mm_add_ps(_mm_set1_ps(-1.0 / 2.0), _mm_mul_ps(r2, p));
-        _mm_add_ps(_mm_set1_ps(1.0), _mm_mul_ps(r2, p))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn quadrant_select(q: __m128i, even: __m128, odd: __m128, neg_plus: i32) -> __m128 {
-        let q_odd = _mm_cmpeq_epi32(_mm_and_si128(q, _mm_set1_epi32(1)), _mm_set1_epi32(1));
-        let v = _mm_blendv_ps(even, odd, _mm_castsi128_ps(q_odd));
-        let qn = _mm_add_epi32(q, _mm_set1_epi32(neg_plus));
-        let neg = _mm_cmpeq_epi32(_mm_and_si128(qn, _mm_set1_epi32(2)), _mm_set1_epi32(2));
-        let signbit = _mm_castsi128_ps(_mm_set1_epi32(i32::MIN));
-        _mm_xor_ps(v, _mm_and_ps(_mm_castsi128_ps(neg), signbit))
-    }
-
-    /// 4-lane `fast_sin`, bit-identical to the scalar version per lane.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fast_sin4(x: __m128) -> __m128 {
-        let (q, r) = reduce4(x);
-        quadrant_select(q, sin_poly4(r), cos_poly4(r), 0)
-    }
-
-    /// 4-lane `fast_cos`, bit-identical to the scalar version per lane.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fast_cos4(x: __m128) -> __m128 {
-        let (q, r) = reduce4(x);
-        quadrant_select(q, cos_poly4(r), sin_poly4(r), 1)
-    }
-
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 and equal slice lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn nonlinear_post(vals: &mut [f32], phases: &[f32]) {
-        let n = vals.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let p = _mm_loadu_ps(vals.as_ptr().add(i));
-            let b = _mm_loadu_ps(phases.as_ptr().add(i));
-            let v = _mm_mul_ps(fast_cos4(_mm_add_ps(p, b)), fast_sin4(p));
-            _mm_storeu_ps(vals.as_mut_ptr().add(i), v);
-            i += 4;
-        }
-        while i < n {
-            let p = vals[i];
-            vals[i] = crate::kernels::fast_cos(p + phases[i]) * crate::kernels::fast_sin(p);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 and equal slice lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cos_phase_post(vals: &mut [f32], phases: &[f32]) {
-        let n = vals.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let p = _mm_loadu_ps(vals.as_ptr().add(i));
-            let b = _mm_loadu_ps(phases.as_ptr().add(i));
-            _mm_storeu_ps(vals.as_mut_ptr().add(i), fast_cos4(_mm_add_ps(p, b)));
-            i += 4;
-        }
-        while i < n {
-            vals[i] = crate::kernels::fast_cos(vals[i] + phases[i]);
-            i += 1;
-        }
-    }
-
-    // -- quantised-tier trig (all-f32 range reduction, 8 lanes) -----------
-
-    /// 8-lane Taylor sine on the reduced range — `sin_poly4` widened.
+    /// 8-lane Taylor sine on the reduced range — the scalar `sin_poly`
+    /// Horner chain, per lane.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn sin_poly8(r: __m256) -> __m256 {
@@ -924,7 +828,8 @@ mod avx2 {
         _mm256_mul_ps(r, p)
     }
 
-    /// 8-lane Taylor cosine on the reduced range — `cos_poly4` widened.
+    /// 8-lane Taylor cosine on the reduced range — the scalar `cos_poly`
+    /// chain.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn cos_poly8(r: __m256) -> __m256 {
@@ -936,6 +841,8 @@ mod avx2 {
         _mm256_add_ps(_mm256_set1_ps(1.0), _mm256_mul_ps(r2, p))
     }
 
+    /// The scalar quadrant selects: odd quadrants take `odd`, and the sign
+    /// flips when bit 1 of `q + neg_plus` is set.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn quadrant_select8(q: __m256i, even: __m256, odd: __m256, neg_plus: i32) -> __m256 {
@@ -953,13 +860,13 @@ mod avx2 {
         _mm256_xor_ps(v, _mm256_and_ps(_mm256_castsi256_ps(neg), signbit))
     }
 
-    /// 8-lane Cody–Waite reduction of `fast_sin_f32`/`fast_cos_f32`: the
-    /// same f32 op sequence per lane (`_mm256_round_ps` nearest-even is
-    /// scalar `round_ties_even`; `cvtps` of the integral `k` is exact, and
-    /// maps NaN to a quadrant-0 index exactly like the scalar `as` cast).
+    /// 8-lane Cody–Waite reduction of `fast_sin`/`fast_cos`: the same f32
+    /// op sequence per lane (`_mm256_round_ps` nearest-even is scalar
+    /// `round_ties_even`; `cvtps` of the integral `k` is exact, and maps
+    /// NaN to a quadrant-0 index exactly like the scalar `as` cast).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn reduce8_f32(x: __m256) -> (__m256i, __m256) {
+    unsafe fn reduce8(x: __m256) -> (__m256i, __m256) {
         let k = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
             _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::FRAC_2_PI)),
         );
@@ -970,20 +877,60 @@ mod avx2 {
         (q, r)
     }
 
-    /// 8-lane `fast_sin_f32`, bit-identical to the scalar version per lane.
+    /// 8-lane `fast_sin`, bit-identical to the scalar version per lane.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn fast_sin8_f32(x: __m256) -> __m256 {
-        let (q, r) = reduce8_f32(x);
+    unsafe fn fast_sin8(x: __m256) -> __m256 {
+        let (q, r) = reduce8(x);
         quadrant_select8(q, sin_poly8(r), cos_poly8(r), 0)
     }
 
-    /// 8-lane `fast_cos_f32`, bit-identical to the scalar version per lane.
+    /// 8-lane `fast_cos`, bit-identical to the scalar version per lane.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn fast_cos8_f32(x: __m256) -> __m256 {
-        let (q, r) = reduce8_f32(x);
+    unsafe fn fast_cos8(x: __m256) -> __m256 {
+        let (q, r) = reduce8(x);
         quadrant_select8(q, cos_poly8(r), sin_poly8(r), 1)
+    }
+
+    /// # Safety
+    ///
+    /// Caller guarantees AVX2 and equal slice lengths.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn nonlinear_post(vals: &mut [f32], phases: &[f32]) {
+        let n = vals.len();
+        let mut i = 0;
+        while i + 8 <= n {
+            let p = _mm256_loadu_ps(vals.as_ptr().add(i));
+            let b = _mm256_loadu_ps(phases.as_ptr().add(i));
+            let v = _mm256_mul_ps(fast_cos8(_mm256_add_ps(p, b)), fast_sin8(p));
+            _mm256_storeu_ps(vals.as_mut_ptr().add(i), v);
+            i += 8;
+        }
+        while i < n {
+            let p = vals[i];
+            vals[i] = crate::kernels::fast_cos(p + phases[i]) * crate::kernels::fast_sin(p);
+            i += 1;
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Caller guarantees AVX2 and equal slice lengths.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn cos_phase_post(vals: &mut [f32], phases: &[f32]) {
+        let n = vals.len();
+        let mut i = 0;
+        while i + 8 <= n {
+            let p = _mm256_loadu_ps(vals.as_ptr().add(i));
+            let b = _mm256_loadu_ps(phases.as_ptr().add(i));
+            _mm256_storeu_ps(vals.as_mut_ptr().add(i), fast_cos8(_mm256_add_ps(p, b)));
+            i += 8;
+        }
+        while i < n {
+            vals[i] = crate::kernels::fast_cos(vals[i] + phases[i]);
+            i += 1;
+        }
     }
 
     /// # Safety
@@ -1003,33 +950,14 @@ mod avx2 {
             let p = _mm256_loadu_ps(vals.as_ptr().add(i));
             let b = _mm256_loadu_ps(phases.as_ptr().add(i));
             let hs = _mm256_loadu_ps(half_sin_phases.as_ptr().add(i));
-            let s = fast_sin8_f32(_mm256_add_ps(_mm256_mul_ps(two, p), b));
+            let s = fast_sin8(_mm256_add_ps(_mm256_mul_ps(two, p), b));
             let v = _mm256_sub_ps(_mm256_mul_ps(half, s), hs);
             _mm256_storeu_ps(vals.as_mut_ptr().add(i), v);
             i += 8;
         }
         while i < n {
             let p = vals[i];
-            vals[i] = 0.5 * crate::kernels::fast_sin_f32(2.0 * p + phases[i]) - half_sin_phases[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 and equal slice lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cos_phase_post_quant(vals: &mut [f32], phases: &[f32]) {
-        let n = vals.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            let p = _mm256_loadu_ps(vals.as_ptr().add(i));
-            let b = _mm256_loadu_ps(phases.as_ptr().add(i));
-            _mm256_storeu_ps(vals.as_mut_ptr().add(i), fast_cos8_f32(_mm256_add_ps(p, b)));
-            i += 8;
-        }
-        while i < n {
-            vals[i] = crate::kernels::fast_cos_f32(vals[i] + phases[i]);
+            vals[i] = 0.5 * crate::kernels::fast_sin(2.0 * p + phases[i]) - half_sin_phases[i];
             i += 1;
         }
     }
@@ -1226,9 +1154,9 @@ mod avx2 {
 }
 
 // ---------------------------------------------------------------------------
-// NEON backend (aarch64). Structure mirrors the AVX2 backend at 4 f32 lanes
-// (two f64 lanes for the trig range reduction); `vmulq`/`vaddq` stay
-// separate instructions so no lane ever sees a fused multiply-add.
+// NEON backend (aarch64). Structure mirrors the AVX2 backend at 4 f32
+// lanes; `vmulq`/`vaddq` stay separate instructions so no lane ever sees a
+// fused multiply-add.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "aarch64")]
@@ -1370,51 +1298,10 @@ mod neon {
         }
     }
 
-    // -- fast trig ---------------------------------------------------------
+    // -- fast trig (all-f32 range reduction, 4 lanes) ----------------------
 
-    /// `f64::round` on 2 f64 lanes: `vrndnq` (nearest-even) plus the exact
-    /// tie fixup to `trunc(x) ± 1`.
-    #[inline]
-    unsafe fn round_half_away(x: float64x2_t) -> float64x2_t {
-        let nearest = vrndnq_f64(x);
-        let diff = vsubq_f64(x, nearest);
-        let tie = vceqq_f64(vabsq_f64(diff), vdupq_n_f64(0.5));
-        let signbit = vreinterpretq_f64_u64(vandq_u64(
-            vreinterpretq_u64_f64(x),
-            vdupq_n_u64(0x8000_0000_0000_0000),
-        ));
-        let away = vaddq_f64(
-            vrndq_f64(x),
-            vreinterpretq_f64_u64(vorrq_u64(
-                vreinterpretq_u64_f64(signbit),
-                vreinterpretq_u64_f64(vdupq_n_f64(1.0)),
-            )),
-        );
-        vbslq_f64(tie, away, nearest)
-    }
-
-    /// Half of the 4-lane reduction: 2 f64 lanes in, `(q, r)` out.
-    #[inline]
-    unsafe fn reduce2(xd: float64x2_t) -> (int32x2_t, float32x2_t) {
-        let k = round_half_away(vmulq_f64(xd, vdupq_n_f64(std::f64::consts::FRAC_2_PI)));
-        let r = vcvt_f32_f64(vsubq_f64(
-            xd,
-            vmulq_f64(k, vdupq_n_f64(std::f64::consts::FRAC_PI_2)),
-        ));
-        // Saturating truncation matches scalar `k as i64` exactly (including
-        // NaN → 0), so the quadrant agrees with the scalar path everywhere.
-        let ki = vcvtq_s64_f64(k);
-        let q = vmovn_s64(vandq_s64(ki, vdupq_n_s64(3)));
-        (vmovn_s64(vmovl_s32(q)), r)
-    }
-
-    #[inline]
-    unsafe fn reduce4(x: float32x4_t) -> (int32x4_t, float32x4_t) {
-        let (q_lo, r_lo) = reduce2(vcvt_f64_f32(vget_low_f32(x)));
-        let (q_hi, r_hi) = reduce2(vcvt_high_f64_f32(x));
-        (vcombine_s32(q_lo, q_hi), vcombine_f32(r_lo, r_hi))
-    }
-
+    /// 4-lane Taylor sine on the reduced range — the scalar `sin_poly`
+    /// Horner chain, per lane.
     #[inline]
     unsafe fn sin_poly4(r: float32x4_t) -> float32x4_t {
         let r2 = vmulq_f32(r, r);
@@ -1425,6 +1312,8 @@ mod neon {
         vmulq_f32(r, p)
     }
 
+    /// 4-lane Taylor cosine on the reduced range — the scalar `cos_poly`
+    /// chain.
     #[inline]
     unsafe fn cos_poly4(r: float32x4_t) -> float32x4_t {
         let r2 = vmulq_f32(r, r);
@@ -1435,6 +1324,8 @@ mod neon {
         vaddq_f32(vdupq_n_f32(1.0), vmulq_f32(r2, p))
     }
 
+    /// The scalar quadrant selects: odd quadrants take `odd`, and the sign
+    /// flips when bit 1 of `q + neg_plus` is set.
     #[inline]
     unsafe fn quadrant_select(
         q: int32x4_t,
@@ -1450,12 +1341,27 @@ mod neon {
         vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(v), flip))
     }
 
+    /// 4-lane Cody–Waite reduction of `fast_sin`/`fast_cos`: `vrndnq_f32`
+    /// is the scalar `round_ties_even`, and `vcvtq_s32_f32` of the integral
+    /// `k` is exact (NaN → 0, like the scalar `as` cast).
+    #[inline]
+    unsafe fn reduce4(x: float32x4_t) -> (int32x4_t, float32x4_t) {
+        let k = vrndnq_f32(vmulq_f32(x, vdupq_n_f32(std::f32::consts::FRAC_2_PI)));
+        let mut r = vsubq_f32(x, vmulq_f32(k, vdupq_n_f32(crate::kernels::PI2_A)));
+        r = vsubq_f32(r, vmulq_f32(k, vdupq_n_f32(crate::kernels::PI2_B)));
+        r = vsubq_f32(r, vmulq_f32(k, vdupq_n_f32(crate::kernels::PI2_C)));
+        let q = vandq_s32(vcvtq_s32_f32(k), vdupq_n_s32(3));
+        (q, r)
+    }
+
+    /// 4-lane `fast_sin`, bit-identical to the scalar version per lane.
     #[inline]
     unsafe fn fast_sin4(x: float32x4_t) -> float32x4_t {
         let (q, r) = reduce4(x);
         quadrant_select(q, sin_poly4(r), cos_poly4(r), 0)
     }
 
+    /// 4-lane `fast_cos`, bit-identical to the scalar version per lane.
     #[inline]
     unsafe fn fast_cos4(x: float32x4_t) -> float32x4_t {
         let (q, r) = reduce4(x);
@@ -1500,35 +1406,6 @@ mod neon {
         }
     }
 
-    // -- quantised-tier trig (all-f32 range reduction) ---------------------
-
-    /// 4-lane Cody–Waite reduction of `fast_sin_f32`/`fast_cos_f32`:
-    /// `vrndnq_f32` is the scalar `round_ties_even`, and `vcvtq_s32_f32` of
-    /// the integral `k` is exact (NaN → 0, like the scalar `as` cast).
-    #[inline]
-    unsafe fn reduce4_f32(x: float32x4_t) -> (int32x4_t, float32x4_t) {
-        let k = vrndnq_f32(vmulq_f32(x, vdupq_n_f32(std::f32::consts::FRAC_2_PI)));
-        let mut r = vsubq_f32(x, vmulq_f32(k, vdupq_n_f32(crate::kernels::PI2_A)));
-        r = vsubq_f32(r, vmulq_f32(k, vdupq_n_f32(crate::kernels::PI2_B)));
-        r = vsubq_f32(r, vmulq_f32(k, vdupq_n_f32(crate::kernels::PI2_C)));
-        let q = vandq_s32(vcvtq_s32_f32(k), vdupq_n_s32(3));
-        (q, r)
-    }
-
-    /// 4-lane `fast_sin_f32`, bit-identical to the scalar version per lane.
-    #[inline]
-    unsafe fn fast_sin4_f32(x: float32x4_t) -> float32x4_t {
-        let (q, r) = reduce4_f32(x);
-        quadrant_select(q, sin_poly4(r), cos_poly4(r), 0)
-    }
-
-    /// 4-lane `fast_cos_f32`, bit-identical to the scalar version per lane.
-    #[inline]
-    unsafe fn fast_cos4_f32(x: float32x4_t) -> float32x4_t {
-        let (q, r) = reduce4_f32(x);
-        quadrant_select(q, cos_poly4(r), sin_poly4(r), 1)
-    }
-
     /// # Safety
     ///
     /// Equal slice lengths.
@@ -1545,31 +1422,13 @@ mod neon {
             let p = vld1q_f32(vals.as_ptr().add(i));
             let b = vld1q_f32(phases.as_ptr().add(i));
             let hs = vld1q_f32(half_sin_phases.as_ptr().add(i));
-            let s = fast_sin4_f32(vaddq_f32(vmulq_f32(two, p), b));
+            let s = fast_sin4(vaddq_f32(vmulq_f32(two, p), b));
             vst1q_f32(vals.as_mut_ptr().add(i), vsubq_f32(vmulq_f32(half, s), hs));
             i += 4;
         }
         while i < n {
             let p = vals[i];
-            vals[i] = 0.5 * crate::kernels::fast_sin_f32(2.0 * p + phases[i]) - half_sin_phases[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Equal slice lengths.
-    pub(super) unsafe fn cos_phase_post_quant(vals: &mut [f32], phases: &[f32]) {
-        let n = vals.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let p = vld1q_f32(vals.as_ptr().add(i));
-            let b = vld1q_f32(phases.as_ptr().add(i));
-            vst1q_f32(vals.as_mut_ptr().add(i), fast_cos4_f32(vaddq_f32(p, b)));
-            i += 4;
-        }
-        while i < n {
-            vals[i] = crate::kernels::fast_cos_f32(vals[i] + phases[i]);
+            vals[i] = 0.5 * crate::kernels::fast_sin(2.0 * p + phases[i]) - half_sin_phases[i];
             i += 1;
         }
     }
@@ -1759,49 +1618,71 @@ mod tests {
 
     #[test]
     fn simd_fast_trig_bit_identical_to_scalar() {
-        // Dense sweep including quadrant boundaries (multiples of π/4) where
-        // the round-half-away tie emulation must agree with f64::round.
-        let mut args: Vec<f32> = Vec::new();
-        let mut x = -30.0f32;
-        while x <= 30.0 {
-            args.push(x);
-            x += 0.0137;
-        }
-        for q in -200i32..=200 {
-            args.push(q as f32 * std::f32::consts::FRAC_PI_4);
-        }
-        args.extend([0.0, -0.0, 1e4, -1e4, f32::MIN_POSITIVE]);
-        let phases: Vec<f32> = args.iter().map(|a| (a * 0.37).abs() % 6.3).collect();
-        let scalar_nl: Vec<u32> = args
-            .iter()
-            .zip(&phases)
-            .map(|(&p, &b)| (fast_cos(p + b) * fast_sin(p)).to_bits())
+        // Every trig post-op against its scalar loop at every level. Random
+        // lengths 1–257 exercise the 8-lane (AVX2) and 4-lane (NEON)
+        // remainders; a dense sweep covers the encoders' working range; the
+        // fixed set adds the quadrant boundaries (multiples of π/4, where
+        // the nearest-even rounding must agree), the edges of the
+        // documented domain, signed zeros, the smallest normal value and
+        // non-finite inputs.
+        let mut rng = HdRng::seed_from(61);
+        let mut cases: Vec<Vec<f32>> = (0..24)
+            .map(|_| {
+                let len = 1 + rng.next_below(257);
+                (0..len)
+                    .map(|_| (rng.next_gaussian() * 4.0) as f32)
+                    .collect()
+            })
             .collect();
-        let scalar_cp: Vec<u32> = args
-            .iter()
-            .zip(&phases)
-            .map(|(&p, &b)| fast_cos(p + b).to_bits())
+        cases.push((0..4380).map(|i| -30.0 + i as f32 * 0.0137).collect());
+        let mut edges: Vec<f32> = (-200i32..=200)
+            .map(|q| q as f32 * std::f32::consts::FRAC_PI_4)
             .collect();
-        with_levels(|level| {
-            let mut nl = args.clone();
-            nonlinear_post_fast(&mut nl, &phases);
-            let got: Vec<u32> = nl.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, scalar_nl, "nonlinear post diverged at level {level:?}");
-            let mut cp = args.clone();
-            cos_phase_post_fast(&mut cp, &phases);
-            let got: Vec<u32> = cp.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, scalar_cp, "cos-phase post diverged at level {level:?}");
-        });
-    }
-
-    #[test]
-    fn simd_fast_trig_propagates_non_finite() {
-        with_levels(|_| {
-            let mut vals = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0];
-            nonlinear_post_fast(&mut vals, &[0.1, 0.2, 0.3, 0.4]);
-            assert!(vals[0].is_nan() && vals[1].is_nan() && vals[2].is_nan());
-            assert!(vals[3].is_finite());
-        });
+        edges.extend([1e4, -1e4, 0.0, -0.0, f32::MIN_POSITIVE]);
+        edges.extend([f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0]);
+        cases.push(edges);
+        for args in &cases {
+            let phases: Vec<f32> = (0..args.len())
+                .map(|_| (rng.next_f64() * std::f64::consts::TAU) as f32)
+                .collect();
+            let half_sin: Vec<f32> = phases.iter().map(|&b| 0.5 * fast_sin(b)).collect();
+            let zip = || args.iter().zip(&phases);
+            let want: [Vec<f32>; 3] = [
+                zip()
+                    .map(|(&p, &b)| fast_cos(p + b) * fast_sin(p))
+                    .collect(),
+                zip().map(|(&p, &b)| fast_cos(p + b)).collect(),
+                zip()
+                    .zip(&half_sin)
+                    .map(|((&p, &b), &hs)| 0.5 * fast_sin(2.0 * p + b) - hs)
+                    .collect(),
+            ];
+            // Non-finite inputs give NaN on every path.
+            for w in &want {
+                for (v, x) in w.iter().zip(args) {
+                    assert!(x.is_finite() || v.is_nan(), "{x} gave {v}, not NaN");
+                }
+            }
+            with_levels(|level| {
+                let mut got = [args.clone(), args.clone(), args.clone()];
+                nonlinear_post_fast(&mut got[0], &phases);
+                cos_phase_post_fast(&mut got[1], &phases);
+                nonlinear_post_quant(&mut got[2], &phases, &half_sin);
+                let ops = ["nonlinear", "cos-phase", "quant"];
+                for ((op, g), w) in ops.iter().zip(&got).zip(&want) {
+                    for ((a, b), x) in g.iter().zip(w).zip(args) {
+                        // NaN payloads and signs are unspecified: NaN must
+                        // stay NaN, every other value must match its bits.
+                        let same = if b.is_nan() {
+                            a.is_nan()
+                        } else {
+                            a.to_bits() == b.to_bits()
+                        };
+                        assert!(same, "{op} at level {level:?}: {x} gave {a}, scalar {b}");
+                    }
+                }
+            });
+        }
     }
 
     #[test]
@@ -1881,49 +1762,6 @@ mod tests {
             assert_eq!(popcount_words(&a), pop, "level {level:?}");
             assert_eq!(hamming_words(&a, &b), ham, "level {level:?}");
         });
-    }
-
-    #[test]
-    fn quant_trig_posts_bit_identical_across_levels() {
-        let mut rng = HdRng::seed_from(61);
-        // Prime lengths exercise both the 8-lane (AVX2) and 4-lane (NEON)
-        // remainders; arguments span the quantised tier's realistic range.
-        for len in [1usize, 5, 17, 64, 127, 257] {
-            let base: Vec<f32> = (0..len)
-                .map(|_| (rng.next_gaussian() * 4.0) as f32)
-                .collect();
-            let phases: Vec<f32> = (0..len)
-                .map(|_| (rng.next_f64() * std::f64::consts::TAU) as f32)
-                .collect();
-            let half_sin: Vec<f32> = phases
-                .iter()
-                .map(|&b| 0.5 * crate::kernels::fast_sin_f32(b))
-                .collect();
-            let mut want_nl: Option<Vec<u32>> = None;
-            let mut want_cos: Option<Vec<u32>> = None;
-            with_levels(|level| {
-                let mut nl = base.clone();
-                nonlinear_post_quant(&mut nl, &phases, &half_sin);
-                let nl_bits: Vec<u32> = nl.iter().map(|v| v.to_bits()).collect();
-                let mut cp = base.clone();
-                cos_phase_post_quant(&mut cp, &phases);
-                let cp_bits: Vec<u32> = cp.iter().map(|v| v.to_bits()).collect();
-                match &want_nl {
-                    None => {
-                        want_nl = Some(nl_bits);
-                        want_cos = Some(cp_bits);
-                    }
-                    Some(w) => {
-                        assert_eq!(&nl_bits, w, "nonlinear level {level:?} len={len}");
-                        assert_eq!(
-                            &cp_bits,
-                            want_cos.as_ref().unwrap(),
-                            "cos level {level:?} len={len}"
-                        );
-                    }
-                }
-            });
-        }
     }
 
     #[test]

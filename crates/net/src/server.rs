@@ -56,9 +56,11 @@ pub struct NetConfig {
     /// every model in the registry at startup and inherited by later
     /// loads and reloads.
     pub threads: usize,
-    /// Trigonometry mode for encoding. `Fast` trades a documented error
-    /// bound ([`hdc::kernels::FAST_TRIG_MAX_ABS_ERROR`]) for throughput;
-    /// canary replays always force `Exact`. Applied like `threads`.
+    /// Trigonometry mode for encoding. `Fast` evaluates the polynomial
+    /// [`hdc::kernels::fast_sin`]/[`hdc::kernels::fast_cos`] pair, trading
+    /// a documented error bound ([`hdc::kernels::FAST_TRIG_MAX_ABS_ERROR`])
+    /// for throughput; canary replays always force `Exact`. Applied like
+    /// `threads`.
     pub trig: hdc::TrigMode,
     /// Micro-batching knobs.
     pub batcher: BatcherConfig,

@@ -301,12 +301,10 @@ impl ModelBank {
     }
 
     /// Like [`ModelBank::scores_into`] but in an explicit mode rather than
-    /// the bank's configured one. The serving layer uses this to force the
-    /// multiply-free `BinaryQuery` path (§3.2) as a degraded fallback
-    /// regardless of how the model was trained. Note that the binary model
-    /// copies are refreshed per epoch only in the binary-model modes, so
-    /// forcing `BinaryModel`/`BinaryBoth` on a bank built in another mode
-    /// reads copies derived at construction ([`ModelBank::from_parts`]).
+    /// the bank's configured one. Note that the binary model copies are
+    /// refreshed per epoch only in the binary-model modes, so forcing
+    /// `BinaryModel`/`BinaryBoth` on a bank built in another mode reads
+    /// copies derived at construction ([`ModelBank::from_parts`]).
     pub fn scores_into_mode(
         &self,
         mode: PredictionMode,

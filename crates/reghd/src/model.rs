@@ -18,7 +18,7 @@
 //! ("the quality of regression stabilizes during the last few iterations").
 
 use crate::banks::{ClusterBank, EncodedQuery, ModelBank};
-use crate::config::{PredictionMode, RegHdConfig, UpdateRule};
+use crate::config::{RegHdConfig, UpdateRule};
 use crate::traits::{FitReport, Regressor};
 use encoding::Encoder;
 use hdc::rng::HdRng;
@@ -263,8 +263,9 @@ impl RegHdRegressor {
     /// [`encoding::Encoder::encode_quantized_into`]), sign-packed query
     /// words, Hamming similarity against the clusters' binary copies, and
     /// the pure popcount model scores of §3.2's binary–binary configuration
-    /// — regardless of the configured [`PredictionMode`]. No f32
-    /// multiply-accumulate touches the `D`-wide vectors after the encode.
+    /// — regardless of the configured [`crate::config::PredictionMode`].
+    /// No f32 multiply-accumulate touches the `D`-wide vectors after the
+    /// encode.
     ///
     /// The tier is *approximate by design* (quantised projection, fast
     /// polynomial trig, sign-only similarity); accuracy bounds are measured
@@ -287,15 +288,28 @@ impl RegHdRegressor {
         xs: &[Vec<f32>],
         scratch: &mut PredictScratch,
     ) -> Vec<f32> {
+        self.predict_chunked(xs, scratch, Self::predict_binary_chunk_into)
+    }
+
+    /// Runs `chunk` over `xs` on the configured thread count. Rows are
+    /// split into the same contiguous chunks as the encoder's own batch
+    /// path, so per-row arithmetic (and therefore every output bit) matches
+    /// the sequential run; each worker carries its own scratch, and the
+    /// caller's scratch serves the sequential case.
+    fn predict_chunked(
+        &self,
+        xs: &[Vec<f32>],
+        scratch: &mut PredictScratch,
+        chunk: fn(&Self, &[Vec<f32>], &mut [f32], &mut PredictScratch),
+    ) -> Vec<f32> {
         let mut out = vec![0.0f32; xs.len()];
         let threads = self.effective_threads();
         if threads > 1 && xs.len() > 1 {
             hdc::par::chunked_zip_mut(xs, &mut out, threads, |part, out_part| {
-                let mut local = PredictScratch::default();
-                self.predict_binary_chunk_into(part, out_part, &mut local);
+                chunk(self, part, out_part, &mut PredictScratch::default());
             });
         } else {
-            self.predict_binary_chunk_into(xs, &mut out, scratch);
+            chunk(self, xs, &mut out, scratch);
         }
         out
     }
@@ -369,49 +383,15 @@ impl RegHdRegressor {
     /// zero-allocation serving entry point. Results are bit-identical to
     /// `predict_batch` (which is this method with throwaway scratch).
     pub fn predict_batch_with(&self, xs: &[Vec<f32>], scratch: &mut PredictScratch) -> Vec<f32> {
-        self.predict_batch_mode_with(xs, self.models.mode(), scratch)
-    }
-
-    /// The shared batch-prediction engine: blocked batch encode into the
-    /// scratch slots, then one forward pass per row with every intermediate
-    /// buffer reused. `mode` selects the score path (`scores_into` is
-    /// `scores_into_mode` with the bank's own mode, so passing it here
-    /// changes nothing for the configured path and lets the degraded
-    /// fallback force `BinaryQuery`).
-    fn predict_batch_mode_with(
-        &self,
-        xs: &[Vec<f32>],
-        mode: PredictionMode,
-        scratch: &mut PredictScratch,
-    ) -> Vec<f32> {
-        let mut out = vec![0.0f32; xs.len()];
-        let threads = self.effective_threads();
-        if threads > 1 && xs.len() > 1 {
-            // Same contiguous chunking as the encoder's own batch path, so
-            // per-row arithmetic (and therefore every output bit) matches
-            // the sequential run; each worker carries its own scratch.
-            hdc::par::chunked_zip_mut(xs, &mut out, threads, |part, out_part| {
-                let mut local = PredictScratch::default();
-                self.predict_chunk_into(part, out_part, mode, &mut local);
-            });
-        } else {
-            self.predict_chunk_into(xs, &mut out, mode, scratch);
-        }
-        out
+        self.predict_chunked(xs, scratch, Self::predict_chunk_into)
     }
 
     /// One contiguous chunk of the batch path: kernel-encode every row into
     /// the scratch slots (bit-identical to scalar `encode`), then run the
-    /// forward pass per row, handing each slot's buffer back for the next
-    /// call. Non-finite rows short-circuit to `NaN` exactly like the old
-    /// per-row loop.
-    fn predict_chunk_into(
-        &self,
-        xs: &[Vec<f32>],
-        out: &mut [f32],
-        mode: PredictionMode,
-        scratch: &mut PredictScratch,
-    ) {
+    /// forward pass per row with every intermediate buffer reused, handing
+    /// each slot's buffer back for the next call. Non-finite rows
+    /// short-circuit to `NaN`.
+    fn predict_chunk_into(&self, xs: &[Vec<f32>], out: &mut [f32], scratch: &mut PredictScratch) {
         if scratch.encoded.len() < xs.len() {
             scratch.encoded.resize(xs.len(), RealHv::default());
         }
@@ -434,7 +414,7 @@ impl RegHdRegressor {
                 .similarities_into(&q.real, &q.binary, &mut scratch.sims);
             softmax_into(&scratch.sims, self.config.softmax_beta, &mut scratch.conf);
             self.models
-                .scores_into_mode(mode, &q.real, &q.binary, q.amp, &mut scratch.scores);
+                .scores_into(&q.real, &q.binary, q.amp, &mut scratch.scores);
             out[i] = scratch
                 .conf
                 .iter()

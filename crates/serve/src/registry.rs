@@ -307,11 +307,12 @@ impl ModelRegistry {
     /// Sets the trigonometry mode applied to every loaded bundle (default
     /// [`TrigMode::Exact`]). Applies immediately to all models already in
     /// the registry, to every future load/reload/publish, and to models the
-    /// attached resolver returns (on their next lookup). `Fast` trades
-    /// a bounded per-component error
-    /// ([`hdc::kernels::FAST_TRIG_MAX_ABS_ERROR`]) for throughput; canary
-    /// replays force `Exact` regardless, so hot-swap integrity checks stay
-    /// bit-exact.
+    /// attached resolver returns (on their next lookup). `Fast` swaps libm
+    /// for the polynomial [`hdc::kernels::fast_sin`]/
+    /// [`hdc::kernels::fast_cos`] pair, trading a bounded per-component
+    /// error ([`hdc::kernels::FAST_TRIG_MAX_ABS_ERROR`]) for throughput;
+    /// canary replays force `Exact` regardless, so hot-swap integrity
+    /// checks stay bit-exact.
     pub fn set_default_trig(&self, mode: TrigMode) {
         self.default_trig.store(mode.as_u8(), Ordering::Relaxed);
         let map = read_unpoisoned(&self.inner);

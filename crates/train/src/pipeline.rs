@@ -126,13 +126,6 @@ pub struct TrainerConfig {
     /// Record every |prequential error| in the report (tests/benches;
     /// unbounded memory on endless runs, so off by default).
     pub record_errors: bool,
-    /// Row-parallelism for the trainer's batch-prediction sites — the
-    /// checkpoint snapshot's canary capture/replay runs
-    /// `RegHdRegressor::predict_batch` on this many threads (`0` =
-    /// available parallelism, `1` = sequential). The per-sample
-    /// prequential update is inherently one-row-at-a-time and is never
-    /// parallelised; results are bit-identical for every setting.
-    pub threads: usize,
 }
 
 impl Default for TrainerConfig {
@@ -147,7 +140,6 @@ impl Default for TrainerConfig {
             drift_action: DriftAction::ResetWorstCluster,
             shadow_min_age: 200,
             record_errors: false,
-            threads: 1,
         }
     }
 }
@@ -451,10 +443,6 @@ impl Trainer {
         // Streaming has no precomputed dataset statistics: the bundle
         // carries identity scalers and the model consumes raw units.
         let snapshot = self.model.snapshot(&self.spec);
-        // The canary capture inside `from_trained` (and any later replay of
-        // this bundle) batch-predicts on the configured thread count;
-        // chunked rows keep the outputs bit-identical to sequential.
-        snapshot.set_threads(self.cfg.threads);
         let input_dim = match self.spec {
             EncoderSpec::Nonlinear { input_dim, .. } => input_dim,
             _ => unreachable!("trainer always builds a Nonlinear spec"),
@@ -702,42 +690,6 @@ mod tests {
         let (x, _) = src.next_sample().unwrap();
         let preds = served.bundle.predict(&[x]).unwrap();
         assert!(preds[0].is_finite());
-    }
-
-    #[test]
-    fn threaded_checkpointing_publishes_bit_identical_bundles() {
-        let run = |threads: usize| {
-            let registry = Arc::new(ModelRegistry::new());
-            let mut src = drift_source(DriftKind::Abrupt, 1_000_000, 8);
-            let cfg = TrainerConfig {
-                max_samples: Some(400),
-                checkpoint_every: Some(200),
-                threads,
-                ..small_cfg()
-            };
-            let mut t = Trainer::new(cfg, 3).with_publish(PublishTarget {
-                registry: registry.clone(),
-                name: "live".to_string(),
-            });
-            let report = t.run(&mut src).unwrap();
-            (registry, report)
-        };
-        let (seq_reg, seq_report) = run(1);
-        let (par_reg, par_report) = run(4);
-        assert_eq!(par_report.canary_failures, 0);
-        assert_eq!(par_report.publications, seq_report.publications);
-        assert_eq!(
-            par_report.final_prequential_mse.to_bits(),
-            seq_report.final_prequential_mse.to_bits()
-        );
-        // The published models predict identically to the bit.
-        let rows: Vec<Vec<f32>> = (0..16).map(|i| vec![i as f32 / 16.0, 0.5, -0.25]).collect();
-        let seq_preds = seq_reg.get("live").unwrap().bundle.predict(&rows).unwrap();
-        let par_preds = par_reg.get("live").unwrap().bundle.predict(&rows).unwrap();
-        assert_eq!(
-            seq_preds.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            par_preds.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]
