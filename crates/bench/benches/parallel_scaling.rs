@@ -1,5 +1,5 @@
 //! Row-parallel scaling of the encode→score hot path: `encode_batch` and
-//! `predict_batch` throughput at dim ∈ {2048, 8192} for 1/2/4/8 threads.
+//! batch `predict` throughput at dim ∈ {2048, 8192} for 1/2/4/8 threads.
 //! Reports rows/sec per configuration and the speedup over the
 //! single-thread baseline, and writes a JSON summary to
 //! `results/parallel.json`.
@@ -59,11 +59,7 @@ fn bench_dim(dim: usize, rows: usize, out: &mut Vec<Sample>) {
 
     // Warm-up + sequential reference for the bit-exactness assertion.
     model.set_threads(1);
-    let reference: Vec<u32> = model
-        .predict_batch(&xs)
-        .iter()
-        .map(|p| p.to_bits())
-        .collect();
+    let reference: Vec<u32> = model.predict(&xs).iter().map(|p| p.to_bits()).collect();
     let enc_reference = model.encoder().encode_batch(&xs[..xs.len().min(64)], 1);
 
     for threads in THREADS {
@@ -76,7 +72,7 @@ fn bench_dim(dim: usize, rows: usize, out: &mut Vec<Sample>) {
 
         model.set_threads(threads);
         let start = std::time::Instant::now();
-        let preds = model.predict_batch(&xs);
+        let preds = model.predict(&xs);
         let predict_rps = xs.len() as f64 / start.elapsed().as_secs_f64();
         let got: Vec<u32> = preds.iter().map(|p| p.to_bits()).collect();
         assert_eq!(got, reference, "predict diverged at {threads} threads");

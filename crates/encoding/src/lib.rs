@@ -193,6 +193,11 @@ pub trait Encoder: Send + Sync {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that flip the process-wide SIMD dispatch
+    /// level, so one test's flip cannot land between another's flip and
+    /// its check.
+    pub(crate) static SIMD_LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn encoder_is_object_safe() {
         let enc: Box<dyn Encoder> = Box::new(NonlinearEncoder::new(3, 256, 1));

@@ -658,6 +658,9 @@ mod tests {
         if detected == SimdLevel::Scalar {
             return; // no SIMD level on this CPU: nothing to pack
         }
+        let _guard = crate::tests::SIMD_LEVEL_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let prev = hdc::simd::active();
         let enc = NonlinearEncoder::new(5, 77, 0x5EED_0005);
         let rows: Vec<Vec<f32>> = (0..3).map(|i| vec![0.1 * i as f32; 5]).collect();

@@ -15,7 +15,7 @@ use crate::Encoder;
 use hdc::kernels::{fast_cos, project_blocked};
 use hdc::quant::{quantize_i8, QuantizedWeights};
 use hdc::rng::HdRng;
-use hdc::simd::PackedProjection;
+use hdc::simd::{PackedProjection, SimdLevel};
 use hdc::{RealHv, TrigMode};
 
 /// Gaussian random-projection + cosine encoder (random Fourier features).
@@ -44,8 +44,11 @@ pub struct RffEncoder {
     /// §3.2 int8 copy of the projection matrix, backing
     /// [`Encoder::encode_quantized_into`].
     quant: QuantizedWeights,
-    /// Lane-major weight packing for the active SIMD level (lazy; `None`
-    /// inside the lock when the active level is scalar).
+    /// Lane-major weight packing, built at the first batch encode under a
+    /// SIMD level so the per-call transpose cost disappears from the
+    /// serving path. It is never built while the active level is scalar,
+    /// so an encoder first used under `scalar` still packs once the
+    /// detected level is activated — the only SIMD level a process can run.
     packed: OnceLock<Option<PackedProjection>>,
 }
 
@@ -101,14 +104,19 @@ impl RffEncoder {
         self.bandwidth
     }
 
-    /// The SIMD weight packing for the active dispatch level, or `None` when
-    /// it cannot be used (scalar level, or the level changed after the
-    /// packing was built).
+    /// The SIMD weight packing for the active dispatch level, or `None`
+    /// when the active level is scalar.
     fn packed_for_active(&self) -> Option<&PackedProjection> {
+        let level = hdc::simd::active();
+        if level == SimdLevel::Scalar {
+            return None;
+        }
         self.packed
-            .get_or_init(|| PackedProjection::for_active(&self.weights, self.input_dim, self.dim))
+            .get_or_init(|| {
+                PackedProjection::for_level(level, &self.weights, self.input_dim, self.dim)
+            })
             .as_ref()
-            .filter(|p| p.level() == hdc::simd::active())
+            .filter(|p| p.level() == level)
     }
 }
 
@@ -304,6 +312,34 @@ mod tests {
             }
         }
         enc.set_trig_mode(TrigMode::Exact);
+    }
+
+    #[test]
+    fn packing_first_touched_under_scalar_still_packs_at_the_detected_level() {
+        let detected = hdc::simd::detect();
+        if detected == SimdLevel::Scalar {
+            return; // no SIMD level on this CPU: nothing to pack
+        }
+        let _guard = crate::tests::SIMD_LEVEL_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let prev = hdc::simd::active();
+        let enc = RffEncoder::new(5, 77, 1.2, 0x5EED_0006);
+        let rows: Vec<Vec<f32>> = (0..3).map(|i| vec![0.1 * i as f32; 5]).collect();
+        let mut scalar = vec![RealHv::default(); rows.len()];
+        let mut packed = vec![RealHv::default(); rows.len()];
+        hdc::simd::set_level(SimdLevel::Scalar).unwrap();
+        enc.encode_batch_into(&rows, &mut scalar, 1);
+        hdc::simd::set_level(detected).unwrap();
+        enc.encode_batch_into(&rows, &mut packed, 1);
+        let level = enc.packed_for_active().map(PackedProjection::level);
+        hdc::simd::set_level(prev).unwrap();
+        assert_eq!(level, Some(detected));
+        let bits =
+            |hv: &RealHv| -> Vec<u32> { hv.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for (s, p) in scalar.iter().zip(&packed) {
+            assert_eq!(bits(s), bits(p));
+        }
     }
 
     #[test]

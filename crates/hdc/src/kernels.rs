@@ -178,15 +178,15 @@ pub fn fast_cos(x: f32) -> f32 {
 /// scalar per-row loop — see the module docs for why the tiling cannot
 /// change the reduction order.
 ///
+/// This is the portable scalar reference: the SIMD levels run the same
+/// matvec through a pre-packed [`crate::simd::PackedProjection`], which
+/// must match it bit-for-bit, and encoders fall back to it only when no
+/// packing serves the active level.
+///
 /// # Panics
 ///
 /// Panics when `rows` and `outs` disagree in length, a row is not
 /// `input_dim` wide, or the weight matrix is not `dim × input_dim`.
-///
-/// When an explicit-SIMD level is active (see [`crate::simd`]), the matvec
-/// runs on the AVX2/NEON lane kernels instead of the blocked scalar tiles;
-/// both paths produce bit-identical results, so callers never observe the
-/// dispatch.
 pub fn project_blocked(
     weights: &[f32],
     input_dim: usize,
@@ -206,22 +206,6 @@ pub fn project_blocked(
     for out in outs.iter_mut() {
         out.reset(dim);
     }
-    if crate::simd::project_rowmajor_simd(weights, input_dim, dim, rows, outs) {
-        return;
-    }
-    project_blocked_scalar(weights, input_dim, dim, rows, outs);
-}
-
-/// The portable blocked-tile body of [`project_blocked`] — the reference
-/// implementation every SIMD path must match bit-for-bit. Caller has
-/// validated shapes and reset the outputs.
-fn project_blocked_scalar(
-    weights: &[f32],
-    input_dim: usize,
-    dim: usize,
-    rows: &[&[f32]],
-    outs: &mut [RealHv],
-) {
     let mut d0 = 0;
     while d0 < dim {
         let d1 = (d0 + DIM_TILE).min(dim);

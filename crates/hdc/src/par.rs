@@ -1,13 +1,13 @@
-//! Dependency-free row-parallel execution helpers.
+//! Dependency-free row-parallel execution.
 //!
 //! HD computing's hot paths (encode, similarity, score) are embarrassingly
 //! parallel across *rows*: each input row is processed independently and the
 //! per-row arithmetic never mixes data between rows. That makes a very simple
-//! parallel schedule safe **and bit-exact**: split the row range into
-//! contiguous chunks, run each chunk on its own scoped thread with the exact
-//! same per-row code the sequential path uses, and concatenate the chunk
-//! outputs in order. No reduction order changes, so results are identical to
-//! the single-threaded run down to the last bit.
+//! parallel schedule safe **and bit-exact**: split the rows and their output
+//! slots into the same contiguous chunks and run each chunk on its own
+//! scoped thread with the exact same per-row code the sequential path uses
+//! ([`chunked_zip_mut`]). No reduction order changes, so results are
+//! identical to the single-threaded run down to the last bit.
 //!
 //! The build environment cannot fetch crates, so this is built on
 //! [`std::thread::scope`] only.
@@ -32,101 +32,16 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Maps `f` over `items`, splitting the rows across up to `threads` scoped
-/// threads, and returns the outputs in input order.
-///
-/// Rows are assigned to threads in contiguous chunks and each chunk is
-/// processed with the same per-row call the sequential path would make, so
-/// the result is bit-identical to `items.iter().map(f).collect()` for any
-/// thread count. `threads <= 1` (or fewer than two items) short-circuits to
-/// exactly that sequential loop.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all threads first).
-pub fn chunked_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let threads = threads.max(1).min(items.len());
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    // Ceil-divide so every thread gets at most `chunk` rows and the chunk
-    // boundaries are stable for a given (len, threads) pair.
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Vec<U>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| part.iter().map(&f).collect::<Vec<U>>()))
-            .collect();
-        out = handles
-            .into_iter()
-            .map(|h| h.join().expect("par worker panicked"))
-            .collect();
-    });
-    let mut flat = Vec::with_capacity(items.len());
-    for mut part in out {
-        flat.append(&mut part);
-    }
-    flat
-}
-
-/// Like [`chunked_map`] but hands `f` the row index too, for callers that
-/// key per-row work off the position (e.g. pairing rows with targets).
-///
-/// Same bit-exactness guarantee: contiguous chunks, in-order concatenation.
-pub fn chunked_map_indexed<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let threads = threads.max(1).min(items.len());
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Vec<U>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, part)| {
-                let base = ci * chunk;
-                let f = &f;
-                scope.spawn(move || {
-                    part.iter()
-                        .enumerate()
-                        .map(|(i, x)| f(base + i, x))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        out = handles
-            .into_iter()
-            .map(|h| h.join().expect("par worker panicked"))
-            .collect();
-    });
-    let mut flat = Vec::with_capacity(items.len());
-    for mut part in out {
-        flat.append(&mut part);
-    }
-    flat
-}
-
 /// Splits `items` and `outs` into the *same* contiguous chunks and runs
-/// `f(items_chunk, outs_chunk)` on up to `threads` scoped threads — the
-/// in-place counterpart of [`chunked_map`] for callers that write into
-/// pre-allocated output slots instead of collecting fresh vectors.
+/// `f(items_chunk, outs_chunk)` on up to `threads` scoped threads, each
+/// writing into its own pre-allocated output slots.
 ///
-/// Same bit-exactness contract: chunk boundaries never change per-item
-/// arithmetic, so as long as `f` computes each output slot from its own
-/// input row only, results are identical for every thread count.
-/// `threads <= 1` short-circuits to a single `f(items, outs)` call.
+/// Chunk boundaries never change per-item arithmetic, so as long as `f`
+/// computes each output slot from its own input row only, results are
+/// identical for every thread count. Chunks are `ceil(len / threads)` rows
+/// long, so the boundaries are stable for a given `(len, threads)` pair.
+/// `threads <= 1` (or fewer than two items) short-circuits to a single
+/// `f(items, outs)` call.
 ///
 /// # Panics
 ///
@@ -169,40 +84,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matches_sequential_map_for_every_thread_count() {
-        let items: Vec<f32> = (0..257).map(|i| i as f32 * 0.37 - 40.0).collect();
-        let seq: Vec<f32> = items.iter().map(|x| (x * 1.7).sin() * x).collect();
-        for threads in [0, 1, 2, 3, 4, 7, 8, 300] {
-            let par = chunked_map(&items, threads, |x| (x * 1.7).sin() * x);
-            // Bit-exact, not approximately equal.
-            let seq_bits: Vec<u32> = seq.iter().map(|v| v.to_bits()).collect();
-            let par_bits: Vec<u32> = par.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(seq_bits, par_bits, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn indexed_variant_sees_global_indices_in_order() {
-        let items: Vec<u64> = (0..100).map(|i| i * 3).collect();
-        for threads in [1, 2, 4, 9] {
-            let got = chunked_map_indexed(&items, threads, |i, x| (i as u64) * 1000 + x);
-            let want: Vec<u64> = items
-                .iter()
-                .enumerate()
-                .map(|(i, x)| (i as u64) * 1000 + x)
-                .collect();
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn empty_and_single_inputs_are_fine() {
-        let empty: Vec<i32> = Vec::new();
-        assert!(chunked_map(&empty, 8, |x| *x).is_empty());
-        assert_eq!(chunked_map(&[5], 8, |x| x + 1), vec![6]);
-    }
-
-    #[test]
     fn zip_mut_matches_sequential_for_every_thread_count() {
         let items: Vec<f32> = (0..131).map(|i| i as f32 * 0.7 - 11.0).collect();
         let mut seq = vec![0.0f32; items.len()];
@@ -219,9 +100,12 @@ mod tests {
             let par_bits: Vec<u32> = par.iter().map(|v| v.to_bits()).collect();
             assert_eq!(seq_bits, par_bits, "threads={threads}");
         }
-        // Degenerate shapes are fine.
+        // Degenerate shapes are fine: no rows, and one row for many threads.
         let mut empty_out: Vec<f32> = Vec::new();
         chunked_zip_mut(&[], &mut empty_out, 4, work);
+        let mut one = [0.0f32];
+        chunked_zip_mut(&items[..1], &mut one, 8, work);
+        assert_eq!(one[0].to_bits(), seq[0].to_bits());
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! reduction stays a scalar-ordered loop, and multiplies and adds are
 //! issued as separate (non-fused) instructions. Per lane this is exactly
 //! the scalar sequence `acc = (acc + x[k]·w[k])` in ascending `k` from
-//! `0.0f32`, so the result is bit-identical to
-//! [`crate::kernels::project_blocked`]'s scalar path — the property the
-//! repo-wide equivalence suite asserts.
+//! `0.0f32`, so the result is bit-identical to the scalar reference
+//! [`crate::kernels::project_blocked`] — the property the repo-wide
+//! equivalence suite asserts.
 //!
 //! The fast-trig post-ops run the scalar [`crate::kernels::fast_sin`]/
 //! [`crate::kernels::fast_cos`] op sequence per lane, all in f32 (8 lanes
@@ -195,7 +195,7 @@ pub fn set_preference(pref: &str) -> Result<SimdLevel, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Packed projection: weights re-laid-out lane-major so the SIMD row-major
+// Packed projection: weights re-laid-out lane-major once, so the SIMD
 // projection needs no per-call transpose.
 // ---------------------------------------------------------------------------
 
@@ -216,17 +216,6 @@ pub struct PackedProjection {
 }
 
 impl PackedProjection {
-    /// Packs `weights` for the currently active level; `None` when the
-    /// active level is scalar (no packing needed — the blocked kernel is the
-    /// scalar path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != dim * input_dim`.
-    pub fn for_active(weights: &[f32], input_dim: usize, dim: usize) -> Option<Self> {
-        Self::for_level(active(), weights, input_dim, dim)
-    }
-
     /// Packs `weights` for `level`; `None` when `level` is scalar or this
     /// CPU cannot run it (so [`PackedProjection::project_into`] never
     /// reaches an unsupported instruction set).
@@ -314,38 +303,6 @@ impl PackedProjection {
 // Dispatched kernel entry points (called from `crate::kernels` after shape
 // validation and output reset).
 // ---------------------------------------------------------------------------
-
-/// SIMD row-major projection with a per-call lane-transpose of each weight
-/// subtile (amortised across the batch). Caller has validated shapes and
-/// reset outputs. Returns `false` when the active level is scalar so the
-/// caller can run the blocked path.
-pub(crate) fn project_rowmajor_simd(
-    weights: &[f32],
-    input_dim: usize,
-    dim: usize,
-    rows: &[&[f32]],
-    outs: &mut [RealHv],
-) -> bool {
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
-            // SAFETY: the active level is runnable (module docs), and
-            // `kernels::project_blocked` validated the shapes and reset the
-            // outputs before dispatching here.
-            unsafe { avx2::project_rowmajor(weights, input_dim, dim, rows, outs) };
-            true
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => {
-            // SAFETY: NEON is mandatory on aarch64, and
-            // `kernels::project_blocked` validated the shapes and reset the
-            // outputs before dispatching here.
-            unsafe { neon::project_rowmajor(weights, input_dim, dim, rows, outs) };
-            true
-        }
-        _ => false,
-    }
-}
 
 /// SIMD transposed-bipolar projection (`outs[r][d] += rows[r][k] ·
 /// bases[k][d]`, `k` outer). Caller has validated shapes and reset outputs.
@@ -703,38 +660,6 @@ mod avx2 {
                 }
                 o.as_mut_slice()[d0 + j] = a;
             }
-        }
-    }
-
-    /// Row-major projection with a per-call transpose of each 8-dim weight
-    /// subtile into a `k`-major scratch (amortised across the batch rows).
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 and validated shapes (`weights` is
-    /// `dim × n`, rows `n` wide, outs reset to `dim`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn project_rowmajor(
-        weights: &[f32],
-        n: usize,
-        dim: usize,
-        rows: &[&[f32]],
-        outs: &mut [RealHv],
-    ) {
-        let mut tr = vec![0.0f32; n * 8];
-        let mut d = 0;
-        while d + 8 <= dim {
-            for j in 0..8 {
-                let row = &weights[(d + j) * n..(d + j + 1) * n];
-                for (k, &w) in row.iter().enumerate() {
-                    tr[k * 8 + j] = w;
-                }
-            }
-            project_group(&tr, n, d, rows, outs);
-            d += 8;
-        }
-        if d < dim {
-            project_rem(&weights[d * n..], n, d, dim - d, rows, outs);
         }
     }
 
@@ -1203,33 +1128,6 @@ mod neon {
 
     /// # Safety
     ///
-    /// Validated shapes (`weights` is `dim × n`, rows `n` wide, outs reset).
-    pub(super) unsafe fn project_rowmajor(
-        weights: &[f32],
-        n: usize,
-        dim: usize,
-        rows: &[&[f32]],
-        outs: &mut [RealHv],
-    ) {
-        let mut tr = vec![0.0f32; n * 4];
-        let mut d = 0;
-        while d + 4 <= dim {
-            for j in 0..4 {
-                let row = &weights[(d + j) * n..(d + j + 1) * n];
-                for (k, &w) in row.iter().enumerate() {
-                    tr[k * 4 + j] = w;
-                }
-            }
-            project_group(&tr, n, d, rows, outs);
-            d += 4;
-        }
-        if d < dim {
-            project_rem(&weights[d * n..], n, d, dim - d, rows, outs);
-        }
-    }
-
-    /// # Safety
-    ///
     /// `PackedProjection` layout invariants (lanes = 4).
     pub(super) unsafe fn project_packed(
         wt: &[f32],
@@ -1532,29 +1430,32 @@ mod tests {
         set_level(detect()).unwrap();
     }
 
-    #[test]
-    fn simd_projection_bit_identical_across_levels() {
-        // Prime dims and dims straddling every vector width (4, 8):
-        // non-multiples exercise the remainder paths.
-        let mut rng = HdRng::seed_from(41);
-        for &(n, dim) in &[(1usize, 7usize), (3, 127), (7, 131), (5, 257), (13, 521)] {
+    /// Packs random `dim × n` weights at every runnable level and asserts
+    /// the packed projection of `batches`-row inputs is bit-identical to
+    /// the scalar reference [`project_blocked`]; scalar must not pack.
+    fn assert_packed_matches_blocked(seed: u64, shapes: &[(usize, usize)], batches: &[usize]) {
+        let mut rng = HdRng::seed_from(seed);
+        for &(n, dim) in shapes {
             let weights = gaussian(dim * n, &mut rng);
-            for &batch in &[1usize, 3, 5] {
+            for &batch in batches {
                 let rows: Vec<Vec<f32>> = (0..batch).map(|_| gaussian(n, &mut rng)).collect();
                 let row_refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-                let mut reference: Option<Vec<Vec<u32>>> = None;
+                let mut want = vec![RealHv::default(); batch];
+                project_blocked(&weights, n, dim, &row_refs, &mut want);
                 with_levels(|level| {
-                    let mut outs = vec![RealHv::default(); batch];
-                    project_blocked(&weights, n, dim, &row_refs, &mut outs);
-                    let bits: Vec<Vec<u32>> = outs
-                        .iter()
-                        .map(|o| o.as_slice().iter().map(|v| v.to_bits()).collect())
-                        .collect();
-                    match &reference {
-                        None => reference = Some(bits),
-                        Some(want) => {
-                            assert_eq!(&bits, want, "level {level:?} n={n} dim={dim} batch={batch}")
-                        }
+                    let packed = PackedProjection::for_level(level, &weights, n, dim);
+                    if level == SimdLevel::Scalar {
+                        assert!(packed.is_none());
+                        return;
+                    }
+                    let packed = packed.expect("SIMD level must pack");
+                    assert_eq!(packed.level(), level);
+                    let mut got = vec![RealHv::default(); batch];
+                    packed.project_into(&row_refs, &mut got);
+                    for (x, y) in got.iter().zip(&want) {
+                        let xb: Vec<u32> = x.as_slice().iter().map(|v| v.to_bits()).collect();
+                        let yb: Vec<u32> = y.as_slice().iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(xb, yb, "level {level:?} n={n} dim={dim} batch={batch}");
                     }
                 });
             }
@@ -1562,31 +1463,16 @@ mod tests {
     }
 
     #[test]
+    fn simd_projection_bit_identical_across_levels() {
+        // Prime dims and dims straddling every vector width (4, 8):
+        // non-multiples exercise the remainder paths.
+        let shapes = [(1, 7), (3, 127), (7, 131), (5, 257), (13, 521)];
+        assert_packed_matches_blocked(41, &shapes, &[1, 3, 5]);
+    }
+
+    #[test]
     fn packed_projection_matches_blocked() {
-        let mut rng = HdRng::seed_from(43);
-        for &(n, dim) in &[(4usize, 61usize), (6, 128), (9, 263)] {
-            let weights = gaussian(dim * n, &mut rng);
-            let rows: Vec<Vec<f32>> = (0..5).map(|_| gaussian(n, &mut rng)).collect();
-            let row_refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-            with_levels(|level| {
-                let packed = PackedProjection::for_active(&weights, n, dim);
-                if level == SimdLevel::Scalar {
-                    assert!(packed.is_none());
-                    return;
-                }
-                let packed = packed.expect("SIMD level must pack");
-                assert_eq!(packed.level(), level);
-                let mut a = vec![RealHv::default(); rows.len()];
-                let mut b = vec![RealHv::default(); rows.len()];
-                packed.project_into(&row_refs, &mut a);
-                project_blocked(&weights, n, dim, &row_refs, &mut b);
-                for (x, y) in a.iter().zip(&b) {
-                    let xb: Vec<u32> = x.as_slice().iter().map(|v| v.to_bits()).collect();
-                    let yb: Vec<u32> = y.as_slice().iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(xb, yb, "level {level:?} n={n} dim={dim}");
-                }
-            });
-        }
+        assert_packed_matches_blocked(43, &[(4, 61), (6, 128), (9, 263)], &[5]);
     }
 
     #[test]

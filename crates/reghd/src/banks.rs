@@ -57,11 +57,10 @@ impl ClusterBank {
     pub fn new(k: usize, dim: usize, mode: ClusterMode, rng: &mut HdRng) -> Self {
         assert!(k > 0, "cluster count must be nonzero");
         assert!(dim > 0, "dim must be nonzero");
-        let int: Vec<RealHv> = (0..k)
+        let int = (0..k)
             .map(|_| BipolarHv::random(dim, rng).to_real())
             .collect();
-        let bin = int.iter().map(RealHv::binarize).collect();
-        Self { mode, int, bin }
+        Self::from_parts(mode, int)
     }
 
     /// Rebuilds a bank from persisted integer clusters; the binary copies
@@ -109,16 +108,8 @@ impl ClusterBank {
 
     /// Similarity of an encoded point to every cluster, in the bank's mode:
     /// cosine over integer clusters, or Hamming similarity over binary
-    /// clusters (Eq. 5 vs §3.1).
-    pub fn similarities(&self, s: &RealHv, s_bin: &BinaryHv) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.int.len());
-        self.similarities_into(s, s_bin, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`ClusterBank::similarities`]: clears
-    /// `out` and fills it with one similarity per cluster. Batched
-    /// prediction reuses one buffer across rows.
+    /// clusters (Eq. 5 vs §3.1). Clears `out` and fills it with one
+    /// similarity per cluster, so callers reuse one buffer across rows.
     pub fn similarities_into(&self, s: &RealHv, s_bin: &BinaryHv, out: &mut Vec<f32>) {
         out.clear();
         match self.mode {
@@ -184,14 +175,12 @@ impl ClusterBank {
     }
 
     /// Epoch boundary: re-quantise binary copies from the integer copies
-    /// (the single-comparison binarisation step of Fig. 5a).
+    /// (the single-comparison binarisation step of Fig. 5a). `Integer`
+    /// banks refresh them too, which keeps the inspection copies and the
+    /// bit-packed tier coherent; `NaiveBinary` banks re-binarise on every
+    /// update instead.
     pub fn end_epoch(&mut self) {
-        if self.mode == ClusterMode::FrameworkBinary {
-            for (b, c) in self.bin.iter_mut().zip(&self.int) {
-                *b = c.binarize();
-            }
-        } else if self.mode == ClusterMode::Integer {
-            // Keep the inspection copies coherent.
+        if self.mode != ClusterMode::NaiveBinary {
             for (b, c) in self.bin.iter_mut().zip(&self.int) {
                 *b = c.binarize();
             }
@@ -249,16 +238,9 @@ impl ModelBank {
             amps: vec![0.0; int.len()],
             int,
         };
-        // Populate binary copies/amps regardless of mode so inspection is
-        // coherent; prediction only reads them in the binary modes.
-        for ((b, a), m) in bank.bin.iter_mut().zip(&mut bank.amps).zip(&bank.int) {
-            *b = m.binarize();
-            *a = if m.is_empty() {
-                0.0
-            } else {
-                (m.as_slice().iter().map(|&v| v.abs() as f64).sum::<f64>() / m.dim() as f64) as f32
-            };
-        }
+        // Populate binary copies/amps regardless of mode so inspection and
+        // the bit-packed tier are coherent.
+        bank.end_epoch_forced();
         bank
     }
 
@@ -286,16 +268,8 @@ impl ModelBank {
     ///
     /// `s`/`s_bin` are the integer and binary encodings of the query and
     /// `s_amp` the query's scalar amplitude (mean |component|), used by the
-    /// binary-query modes.
-    pub fn scores(&self, s: &RealHv, s_bin: &BinaryHv, s_amp: f32) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.int.len());
-        self.scores_into(s, s_bin, s_amp, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`ModelBank::scores`]: clears `out` and
-    /// fills it with one raw score per model. Batched prediction reuses one
-    /// buffer across rows.
+    /// binary-query modes. Clears `out` and fills it with one raw score per
+    /// model, so callers reuse one buffer across rows.
     pub fn scores_into(&self, s: &RealHv, s_bin: &BinaryHv, s_amp: f32, out: &mut Vec<f32>) {
         self.scores_into_mode(self.mode, s, s_bin, s_amp, out);
     }
@@ -437,6 +411,18 @@ mod tests {
     use super::*;
     use hdc::similarity::argmax;
 
+    fn sims_of(bank: &ClusterBank, q: &EncodedQuery) -> Vec<f32> {
+        let mut out = Vec::new();
+        bank.similarities_into(&q.real, &q.binary, &mut out);
+        out
+    }
+
+    fn scores_of(bank: &ModelBank, q: &EncodedQuery) -> Vec<f32> {
+        let mut out = Vec::new();
+        bank.scores_into(&q.real, &q.binary, q.amp, &mut out);
+        out
+    }
+
     fn rng() -> HdRng {
         HdRng::seed_from(11)
     }
@@ -460,7 +446,7 @@ mod tests {
         let mut r = rng();
         let bank = ClusterBank::new(3, 256, ClusterMode::Integer, &mut r);
         let q = EncodedQuery::new(bank.integer_clusters()[1].clone());
-        let sims = bank.similarities(&q.real, &q.binary);
+        let sims = sims_of(&bank, &q);
         assert_eq!(argmax(&sims), Some(1));
         assert!((sims[1] - 1.0).abs() < 1e-5);
     }
@@ -470,7 +456,7 @@ mod tests {
         let mut r = rng();
         let bank = ClusterBank::new(3, 256, ClusterMode::FrameworkBinary, &mut r);
         let q = EncodedQuery::new(bank.integer_clusters()[2].clone());
-        let sims = bank.similarities(&q.real, &q.binary);
+        let sims = sims_of(&bank, &q);
         assert_eq!(argmax(&sims), Some(2));
         assert!((sims[2] - 1.0).abs() < 1e-5);
     }
@@ -539,10 +525,7 @@ mod tests {
     fn model_bank_starts_at_zero() {
         let bank = ModelBank::new(3, 128, PredictionMode::Full);
         let q = EncodedQuery::new(RealHv::from_vec(vec![1.0; 128]));
-        assert!(bank
-            .scores(&q.real, &q.binary, q.amp)
-            .iter()
-            .all(|&s| s == 0.0));
+        assert!(scores_of(&bank, &q).iter().all(|&s| s == 0.0));
     }
 
     #[test]
@@ -550,7 +533,7 @@ mod tests {
         let mut bank = ModelBank::new(2, 64, PredictionMode::Full);
         let s = EncodedQuery::new(RealHv::from_vec(vec![0.5; 64]));
         bank.update(0, 1.0, &s.real);
-        let scores = bank.scores(&s.real, &s.binary, s.amp);
+        let scores = scores_of(&bank, &s);
         assert!((scores[0] - 64.0 * 0.25).abs() < 1e-3);
         assert_eq!(scores[1], 0.0);
     }
@@ -571,8 +554,8 @@ mod tests {
         full.end_epoch();
         binm.end_epoch();
         let q = EncodedQuery::new(BipolarHv::random(2048, &mut r).to_real());
-        let f = full.scores(&q.real, &q.binary, q.amp)[0];
-        let b = binm.scores(&q.real, &q.binary, q.amp)[0];
+        let f = scores_of(&full, &q)[0];
+        let b = scores_of(&binm, &q)[0];
         // Same order of magnitude and same sign tendency.
         assert!(
             (f - b).abs() < 0.5 * f.abs().max(b.abs()).max(10.0),
@@ -588,7 +571,7 @@ mod tests {
         bank.end_epoch();
         // Model binarises to all-ones; query binary is all-ones; dot should
         // be amp_model · amp_query · D.
-        let score = bank.scores(&s.real, &s.binary, s.amp)[0];
+        let score = scores_of(&bank, &s)[0];
         assert!((score - 1.0 * 1.0 * 128.0).abs() < 1e-3, "score = {score}");
     }
 

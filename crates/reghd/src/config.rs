@@ -249,6 +249,22 @@ impl RegHdConfig {
         }
         Ok(())
     }
+
+    /// The precondition of every learner's constructor: a valid config and
+    /// an encoder of width `dim`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config is invalid or `encoder_dim != self.dim`.
+    pub(crate) fn assert_valid_for(&self, encoder_dim: usize) {
+        self.validate()
+            .unwrap_or_else(|e| panic!("invalid RegHdConfig: {e}"));
+        assert_eq!(
+            encoder_dim, self.dim,
+            "encoder dim {encoder_dim} does not match config dim {}",
+            self.dim
+        );
+    }
 }
 
 /// Builder for [`RegHdConfig`].

@@ -15,8 +15,8 @@
 //! * **saturation monitoring** — model norms growing without bound signal
 //!   a learning-rate problem.
 
-use crate::model::RegHdRegressor;
-use hdc::similarity::{argmax, softmax};
+use crate::model::{PredictScratch, RegHdRegressor};
+use hdc::similarity::argmax;
 
 /// Summary statistics of a trained model over a probe set.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,17 +84,16 @@ impl RegHdRegressor {
     /// Panics if `probes` is empty or rows have the wrong feature width.
     pub fn diagnostics(&self, probes: &[Vec<f32>]) -> Diagnostics {
         assert!(!probes.is_empty(), "need at least one probe input");
-        let k = self.config().models;
-        let mut histogram = vec![0usize; k];
+        let mut histogram = vec![0usize; self.config().models];
         let mut entropy_sum = 0.0f64;
+        let mut s = PredictScratch::default();
         for x in probes {
-            let q = self.encode_query(x);
-            let sims = self.clusters().similarities(&q.real, &q.binary);
-            if let Some(l) = argmax(&sims) {
+            self.forward(&self.encode(x), &mut s);
+            if let Some(l) = argmax(&s.sims) {
                 histogram[l] += 1;
             }
-            let conf = softmax(&sims, self.config().softmax_beta);
-            entropy_sum += conf
+            entropy_sum += s
+                .conf
                 .iter()
                 .filter(|&&c| c > 0.0)
                 .map(|&c| -(c as f64) * (c as f64).ln())

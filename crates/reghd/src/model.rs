@@ -16,16 +16,29 @@
 //!
 //! Epochs repeat over shuffled data until the training MSE stabilises
 //! ("the quality of regression stabilizes during the last few iterations").
+//!
+//! [`RegHdRegressor`] is the one owner of this arithmetic: steps ②–④ are
+//! one forward pass that every prediction path runs, and steps ②–⑥ are one
+//! per-sample step that `fit`, `refine` and the single-pass
+//! [`crate::OnlineRegHd`] all learn through.
 
 use crate::banks::{ClusterBank, EncodedQuery, ModelBank};
 use crate::config::{RegHdConfig, UpdateRule};
 use crate::traits::{FitReport, Regressor};
 use encoding::Encoder;
 use hdc::rng::HdRng;
-use hdc::similarity::{argmax, softmax, softmax_into};
+use hdc::similarity::{argmax, softmax_into};
 use hdc::{RealHv, TrigMode};
 
-/// Reusable per-caller buffers for [`RegHdRegressor::predict_batch_with`].
+/// Seed salt of the batch trainer's stream: cluster initialisation, then
+/// the per-epoch shuffles of `fit`.
+const FIT_SEED_SALT: u64 = 0xC1_05_7E_12;
+
+/// Seed salt of `refine`'s shuffle stream.
+const REFINE_SEED_SALT: u64 = 0x4E_F1_4E;
+
+/// Reusable per-caller buffers for the forward pass and
+/// [`RegHdRegressor::predict_batch_with`].
 ///
 /// Holds the encoded-hypervector slots the blocked batch encoder writes
 /// into plus the per-row similarity/confidence/score buffers. A caller that
@@ -37,8 +50,10 @@ use hdc::{RealHv, TrigMode};
 pub struct PredictScratch {
     /// Output slots for the batch encoder; grown on demand, never shrunk.
     encoded: Vec<RealHv>,
-    sims: Vec<f32>,
-    conf: Vec<f32>,
+    /// Cluster similarities of the last forward pass (Eq. 5).
+    pub(crate) sims: Vec<f32>,
+    /// Softmax confidences `δ′` of the last forward pass.
+    pub(crate) conf: Vec<f32>,
     scores: Vec<f32>,
     /// Staging buffer for the quantised tier's encoded f32 values
     /// ([`RegHdRegressor::predict_batch_binary_with`]).
@@ -107,19 +122,18 @@ impl RegHdRegressor {
     ///
     /// Panics if `encoder.dim() != config.dim` or the config is invalid.
     pub fn new(config: RegHdConfig, encoder: Box<dyn Encoder>) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid RegHdConfig: {e}"));
-        assert_eq!(
-            encoder.dim(),
-            config.dim,
-            "encoder dim {} does not match config dim {}",
-            encoder.dim(),
-            config.dim
-        );
-        let mut rng = HdRng::seed_from(config.seed ^ 0xC1_05_7E_12);
-        let clusters = ClusterBank::new(config.models, config.dim, config.cluster_mode, &mut rng);
-        let models = ModelBank::new(config.models, config.dim, config.prediction_mode);
+        Self::with_seed_salt(config, encoder, FIT_SEED_SALT)
+    }
+
+    /// [`Self::new`] with the clusters drawn from the `config.seed ^ salt`
+    /// stream (the streaming trainer keeps its own stream).
+    pub(crate) fn with_seed_salt(
+        config: RegHdConfig,
+        encoder: Box<dyn Encoder>,
+        salt: u64,
+    ) -> Self {
+        config.assert_valid_for(encoder.dim());
+        let (clusters, models, _) = Self::fresh_banks(&config, salt);
         Self {
             config,
             encoder,
@@ -132,7 +146,29 @@ impl RegHdRegressor {
         }
     }
 
-    /// Sets the number of threads the batch paths (`predict_batch`, the
+    /// Untrained banks (§2.4: random binary clusters, zero models) drawn
+    /// from the `config.seed ^ salt` stream, which is returned for the
+    /// caller to continue.
+    fn fresh_banks(config: &RegHdConfig, salt: u64) -> (ClusterBank, ModelBank, HdRng) {
+        let mut rng = HdRng::seed_from(config.seed ^ salt);
+        let clusters = ClusterBank::new(config.models, config.dim, config.cluster_mode, &mut rng);
+        let models = ModelBank::new(config.models, config.dim, config.prediction_mode);
+        (clusters, models, rng)
+    }
+
+    /// Forgets everything learned so repeated fits are independent: fresh
+    /// banks from the `config.seed ^ salt` stream, a zero intercept and no
+    /// centre. Returns the stream, which `fit` continues for its shuffles.
+    pub(crate) fn reset(&mut self, salt: u64) -> HdRng {
+        let (clusters, models, rng) = Self::fresh_banks(&self.config, salt);
+        self.clusters = clusters;
+        self.models = models;
+        self.intercept = 0.0;
+        self.center = None;
+        rng
+    }
+
+    /// Sets the number of threads the batch paths (`predict`, the
     /// `fit`/`refine` encoding passes) may use. `0` means "use available
     /// parallelism"; `1` restores the exact single-threaded behavior.
     ///
@@ -209,10 +245,7 @@ impl RegHdRegressor {
         center: Option<hdc::RealHv>,
         intercept: f32,
     ) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid RegHdConfig: {e}"));
-        assert_eq!(encoder.dim(), config.dim, "encoder/config dim mismatch");
+        config.assert_valid_for(encoder.dim());
         assert_eq!(clusters_int.len(), config.models, "cluster count mismatch");
         assert_eq!(models_int.len(), config.models, "model count mismatch");
         assert!(
@@ -254,18 +287,17 @@ impl RegHdRegressor {
     pub fn predict_one_with_noise(&self, x: &[f32], flip_rate: f64, rng: &mut HdRng) -> f32 {
         let q = self.encode(x);
         let noisy = hdc::noise::flip_signs(&q.real, flip_rate, rng);
-        let q = EncodedQuery::new(noisy);
-        self.forward(&q).0
+        self.forward(&EncodedQuery::new(noisy), &mut PredictScratch::default())
     }
 
-    /// Batched prediction through the **bit-packed binary tier**: int8
-    /// integer encode (where the encoder supports it, see
-    /// [`encoding::Encoder::encode_quantized_into`]), sign-packed query
-    /// words, Hamming similarity against the clusters' binary copies, and
-    /// the pure popcount model scores of §3.2's binary–binary configuration
-    /// — regardless of the configured [`crate::config::PredictionMode`].
-    /// No f32 multiply-accumulate touches the `D`-wide vectors after the
-    /// encode.
+    /// Batched prediction through the **bit-packed binary tier** with
+    /// caller-owned scratch: int8 integer encode (where the encoder
+    /// supports it, see [`encoding::Encoder::encode_quantized_into`]),
+    /// sign-packed query words, Hamming similarity against the clusters'
+    /// binary copies, and the pure popcount model scores of §3.2's
+    /// binary–binary configuration — regardless of the configured
+    /// [`crate::config::PredictionMode`]. No f32 multiply-accumulate
+    /// touches the `D`-wide vectors after the encode.
     ///
     /// The tier is *approximate by design* (quantised projection, fast
     /// polynomial trig, sign-only similarity); accuracy bounds are measured
@@ -273,16 +305,9 @@ impl RegHdRegressor {
     /// The model's binary copies are refreshed at the end of every
     /// `fit`/`refine` in every mode, so the tier is always coherent with the
     /// full-precision path. Non-finite input rows short-circuit to `NaN`
-    /// exactly like [`Regressor::predict_batch`].
-    pub fn predict_batch_binary(&self, xs: &[Vec<f32>]) -> Vec<f32> {
-        let mut scratch = PredictScratch::default();
-        self.predict_batch_binary_with(xs, &mut scratch)
-    }
-
-    /// [`RegHdRegressor::predict_batch_binary`] with caller-owned scratch —
-    /// the zero-allocation serving entry point for the binary tier. Honors
-    /// the [`RegHdRegressor::set_threads`] knob with the same contiguous
-    /// chunking (and therefore bit-identical output) as the full path.
+    /// exactly like [`Self::predict_batch_with`], and the
+    /// [`Self::set_threads`] knob applies with the same contiguous chunking
+    /// (and therefore bit-identical output).
     pub fn predict_batch_binary_with(
         &self,
         xs: &[Vec<f32>],
@@ -367,21 +392,20 @@ impl RegHdRegressor {
             softmax_into(&scratch.sims, self.config.softmax_beta, &mut scratch.conf);
             self.models
                 .binary_scores_into(&bin, amp, &mut scratch.scores);
-            out[i] = scratch
-                .conf
-                .iter()
-                .zip(&scratch.scores)
-                .map(|(&c, &s)| c * s)
-                .sum::<f32>()
-                + self.intercept;
+            out[i] = self.combine(scratch);
             // Hand the word buffer back for the next row.
             scratch.words = bin.into_words();
         }
     }
 
-    /// [`Regressor::predict_batch`] with caller-owned scratch buffers — the
-    /// zero-allocation serving entry point. Results are bit-identical to
-    /// `predict_batch` (which is this method with throwaway scratch).
+    /// Batched full-precision prediction with caller-owned scratch buffers
+    /// — the zero-allocation serving entry point. [`Regressor::predict`] is
+    /// this method with throwaway scratch.
+    ///
+    /// When [`Self::set_threads`] asks for more than one thread, rows are
+    /// split across scoped threads in contiguous chunks with the per-row
+    /// arithmetic unchanged, so the output is **bit-identical** to the
+    /// single-threaded run.
     pub fn predict_batch_with(&self, xs: &[Vec<f32>], scratch: &mut PredictScratch) -> Vec<f32> {
         self.predict_chunked(xs, scratch, Self::predict_chunk_into)
     }
@@ -402,26 +426,8 @@ impl RegHdRegressor {
                 out[i] = f32::NAN;
                 continue;
             }
-            let mut real = std::mem::take(&mut scratch.encoded[i]);
-            if let Some(center) = &self.center {
-                real.add_scaled(center, -1.0);
-            }
-            if self.config.normalize_encodings {
-                real.normalize();
-            }
-            let q = EncodedQuery::new(real);
-            self.clusters
-                .similarities_into(&q.real, &q.binary, &mut scratch.sims);
-            softmax_into(&scratch.sims, self.config.softmax_beta, &mut scratch.conf);
-            self.models
-                .scores_into(&q.real, &q.binary, q.amp, &mut scratch.scores);
-            out[i] = scratch
-                .conf
-                .iter()
-                .zip(&scratch.scores)
-                .map(|(&c, &s)| c * s)
-                .sum::<f32>()
-                + self.intercept;
+            let q = self.prepare(std::mem::take(&mut scratch.encoded[i]));
+            out[i] = self.forward(&q, scratch);
             // Hand the encoded buffer back to its slot so the next batch
             // through this scratch reuses the allocation.
             scratch.encoded[i] = q.real;
@@ -440,8 +446,15 @@ impl RegHdRegressor {
         self.encoder.trig_mode()
     }
 
-    fn encode(&self, x: &[f32]) -> EncodedQuery {
-        let mut s = self.encoder.encode(x);
+    /// Encodes and prepares one query (step ①).
+    pub(crate) fn encode(&self, x: &[f32]) -> EncodedQuery {
+        self.prepare(self.encoder.encode(x))
+    }
+
+    /// The query preparation every full-precision path shares: subtract the
+    /// fitted centre (if any), normalise if configured, then derive the
+    /// binary view and amplitude.
+    fn prepare(&self, mut s: RealHv) -> EncodedQuery {
         if let Some(center) = &self.center {
             s.add_scaled(center, -1.0);
         }
@@ -449,12 +462,6 @@ impl RegHdRegressor {
             s.normalize();
         }
         EncodedQuery::new(s)
-    }
-
-    /// Crate-internal access to the full encoding pipeline (centre +
-    /// normalise), used by the diagnostics module.
-    pub(crate) fn encode_query(&self, x: &[f32]) -> EncodedQuery {
-        self.encode(x)
     }
 
     /// Continues training an already-fitted model on additional data for
@@ -488,99 +495,140 @@ impl RegHdRegressor {
         assert!(!features.is_empty(), "cannot refine on empty data");
         assert!(epochs > 0, "epochs must be nonzero");
 
-        // Blocked batch encode (bit-identical to per-row `encode`), then the
-        // centre/normalise steps the per-row path would apply.
+        // Blocked batch encode (bit-identical to per-row `encode`).
         let encoded: Vec<EncodedQuery> = self
             .encoder
             .encode_batch(features, self.effective_threads())
             .into_iter()
-            .map(|mut s| {
-                if let Some(center) = &self.center {
-                    s.add_scaled(center, -1.0);
-                }
-                if self.config.normalize_encodings {
-                    s.normalize();
-                }
-                EncodedQuery::new(s)
-            })
+            .map(|s| self.prepare(s))
             .collect();
-        let mut rng = HdRng::seed_from(self.config.seed ^ 0x4E_F1_4E);
-        let mut order: Vec<usize> = (0..features.len()).collect();
-        let mut history = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            for i in (1..order.len()).rev() {
-                let j = rng.next_below(i + 1);
-                order.swap(i, j);
-            }
-            let mut sq_err = 0.0f64;
-            let model_is_binary = self.config.prediction_mode.model_is_binary();
-            for (step, &i) in order.iter().enumerate() {
-                let q = &encoded[i];
-                let (pred, conf, sims) = self.forward(q);
-                let err = targets[i] - pred;
-                sq_err += (err as f64) * (err as f64);
-                self.update_models(err, &conf, q);
-                if self.config.intercept {
-                    self.intercept += self.config.learning_rate * 0.1 * err;
-                }
-                if let Some(l) = argmax(&sims) {
-                    self.clusters.update(l, sims[l], &q.real);
-                }
-                if model_is_binary && (step + 1) % self.config.quantize_batch == 0 {
-                    self.models.end_epoch();
-                }
-            }
-            self.clusters.end_epoch();
-            self.models.end_epoch();
-            history.push((sq_err / order.len() as f64) as f32);
-        }
-        // Binary-tier coherence: the bit-packed tier scores against the
-        // models' binary copies in every PredictionMode, so refresh them
-        // even in modes whose end_epoch is a no-op on the model bank.
-        self.models.end_epoch_forced();
-        FitReport {
-            epochs: history.len(),
-            train_mse_history: history,
+        let rng = HdRng::seed_from(self.config.seed ^ REFINE_SEED_SALT);
+        self.train(&encoded, targets, rng, |epoch| FitReport {
+            epochs,
+            train_mse_history: (0..epochs).map(|_| epoch()).collect(),
             converged: false,
-        }
+        })
     }
 
-    /// Steps ②–④ for one encoded query: similarities, confidences, and the
-    /// confidence-weighted prediction of Eq. 6. Returns
-    /// `(prediction, confidences, similarities)` so training can reuse the
-    /// intermediates ([C-INTERMEDIATE]).
-    fn forward(&self, q: &EncodedQuery) -> (f32, Vec<f32>, Vec<f32>) {
-        let sims = self.clusters.similarities(&q.real, &q.binary);
-        let conf = softmax(&sims, self.config.softmax_beta);
-        let scores = self.models.scores(&q.real, &q.binary, q.amp);
-        let pred: f32 =
-            conf.iter().zip(&scores).map(|(&c, &s)| c * s).sum::<f32>() + self.intercept;
-        (pred, conf, sims)
+    /// Steps ②–④ for one encoded query: the similarities and confidences
+    /// land in `s.sims`/`s.conf`, the model scores in `s.scores`, and the
+    /// confidence-weighted prediction of Eq. 6 is returned. Every
+    /// full-precision prediction and training path runs this one forward
+    /// pass.
+    pub(crate) fn forward(&self, q: &EncodedQuery, s: &mut PredictScratch) -> f32 {
+        self.clusters
+            .similarities_into(&q.real, &q.binary, &mut s.sims);
+        softmax_into(&s.sims, self.config.softmax_beta, &mut s.conf);
+        self.models
+            .scores_into(&q.real, &q.binary, q.amp, &mut s.scores);
+        self.combine(s)
     }
 
-    /// Step ⑤: distribute the prediction error to the models per the
-    /// configured [`UpdateRule`].
-    fn update_models(&mut self, err: f32, conf: &[f32], q: &EncodedQuery) {
+    /// Eq. 6's confidence-weighted sum of the model scores plus the
+    /// intercept — the last step of both tiers.
+    fn combine(&self, s: &PredictScratch) -> f32 {
+        s.conf
+            .iter()
+            .zip(&s.scores)
+            .map(|(&c, &v)| c * v)
+            .sum::<f32>()
+            + self.intercept
+    }
+
+    /// Steps ②–⑥ for one training sample: the forward pass, the Eq. 7
+    /// model update per the configured [`UpdateRule`], the intercept step,
+    /// and the Eq. 8 update of the most similar cluster. Returns the error
+    /// `y − ŷ` and that cluster. `fit`, `refine` and
+    /// [`crate::OnlineRegHd::update`] all learn through here.
+    pub(crate) fn step(
+        &mut self,
+        q: &EncodedQuery,
+        y: f32,
+        s: &mut PredictScratch,
+    ) -> (f32, Option<usize>) {
+        let err = y - self.forward(q, s);
         let alpha = self.config.learning_rate;
         match self.config.update_rule {
             UpdateRule::ConfidenceWeighted => {
-                for (i, &c) in conf.iter().enumerate() {
+                for (i, &c) in s.conf.iter().enumerate() {
                     if c > 1e-6 {
                         self.models.update(i, alpha * c * err, &q.real);
                     }
                 }
             }
             UpdateRule::SharedError => {
-                for i in 0..conf.len() {
+                for i in 0..s.conf.len() {
                     self.models.update(i, alpha * err, &q.real);
                 }
             }
             UpdateRule::ArgmaxOnly => {
-                if let Some(l) = argmax(conf) {
+                if let Some(l) = argmax(&s.conf) {
                     self.models.update(l, alpha * err, &q.real);
                 }
             }
         }
+        if self.config.intercept {
+            self.intercept += alpha * 0.1 * err;
+        }
+        let l = argmax(&s.sims);
+        if let Some(l) = l {
+            self.clusters.update(l, s.sims[l], &q.real);
+        }
+        (err, l)
+    }
+
+    /// Quantisation boundary: re-binarise the clusters' binary copies and,
+    /// in the binary-model modes, the models' (Fig. 5).
+    pub(crate) fn end_epoch(&mut self) {
+        self.clusters.end_epoch();
+        self.models.end_epoch();
+    }
+
+    /// Re-initialises cluster/model pair `l` (the cluster from `rng`, the
+    /// model to zero) — the streaming trainer's drift eviction.
+    pub(crate) fn reset_pair(&mut self, l: usize, rng: &mut HdRng) {
+        self.clusters.reset(l, rng);
+        self.models.reset(l);
+    }
+
+    /// The epoch loop `fit` and `refine` share. Each epoch shuffles the
+    /// sample order with `rng`, runs [`Self::step`] per sample —
+    /// re-binarising the binary-model copies every `quantize_batch` samples
+    /// (§3.2 "or a batch") so the quantised prediction path stays
+    /// responsive — and ends on [`Self::end_epoch`], returning its MSE.
+    /// `schedule` decides how many epochs run and builds the report.
+    ///
+    /// Afterwards the models' binary copies are refreshed in every
+    /// [`crate::config::PredictionMode`], because the bit-packed tier
+    /// scores against them even in modes whose `end_epoch` leaves them be.
+    fn train(
+        &mut self,
+        encoded: &[EncodedQuery],
+        targets: &[f32],
+        mut rng: HdRng,
+        schedule: impl FnOnce(&mut dyn FnMut() -> f32) -> FitReport,
+    ) -> FitReport {
+        let mut order: Vec<usize> = (0..encoded.len()).collect();
+        let mut scratch = PredictScratch::default();
+        let report = schedule(&mut || {
+            for i in (1..order.len()).rev() {
+                let j = rng.next_below(i + 1);
+                order.swap(i, j);
+            }
+            let mut sq_err = 0.0f64;
+            for (pos, &i) in order.iter().enumerate() {
+                let (err, _) = self.step(&encoded[i], targets[i], &mut scratch);
+                sq_err += (err as f64) * (err as f64);
+                if (pos + 1) % self.config.quantize_batch == 0 {
+                    self.models.end_epoch();
+                }
+            }
+            self.end_epoch();
+            (sq_err / order.len() as f64) as f32
+        });
+        self.models.end_epoch_forced();
+        self.trained = true;
+        report
     }
 }
 
@@ -593,27 +641,12 @@ impl Regressor for RegHdRegressor {
         );
         assert!(!features.is_empty(), "cannot fit on empty data");
 
-        // Reset so repeated fits are independent.
-        let mut rng = HdRng::seed_from(self.config.seed ^ 0xC1_05_7E_12);
-        self.clusters = ClusterBank::new(
-            self.config.models,
-            self.config.dim,
-            self.config.cluster_mode,
-            &mut rng,
-        );
-        self.models = ModelBank::new(
-            self.config.models,
-            self.config.dim,
-            self.config.prediction_mode,
-        );
-        self.intercept = 0.0;
-        self.center = None;
-
+        let rng = self.reset(FIT_SEED_SALT);
         // Fit the encoding centre (see `RegHdConfig::center_encodings`),
         // then encode the training set once. The encoding pass is the
         // per-epoch-independent bulk of fit's cost and rows are independent,
         // so it goes through the bit-exact row-parallel batch encoder.
-        let mut raw: Vec<hdc::RealHv> = self
+        let raw = self
             .encoder
             .encode_batch(features, self.effective_threads());
         if self.config.center_encodings {
@@ -621,103 +654,24 @@ impl Regressor for RegHdRegressor {
             for s in &raw {
                 mean.add_scaled(s, 1.0 / raw.len() as f32);
             }
-            for s in &mut raw {
-                s.add_scaled(&mean, -1.0);
-            }
             self.center = Some(mean);
         }
-        if self.config.normalize_encodings {
-            for s in &mut raw {
-                s.normalize();
-            }
-        }
-        let encoded: Vec<EncodedQuery> = raw.into_iter().map(EncodedQuery::new).collect();
-
-        let mut order: Vec<usize> = (0..features.len()).collect();
-        let mut history: Vec<f32> = Vec::new();
-        let mut calm_epochs = 0usize;
-        let mut converged = false;
-
-        for _epoch in 0..self.config.max_epochs {
-            for i in (1..order.len()).rev() {
-                let j = rng.next_below(i + 1);
-                order.swap(i, j);
-            }
-            let mut sq_err = 0.0f64;
-            let model_is_binary = self.config.prediction_mode.model_is_binary();
-            for (step, &i) in order.iter().enumerate() {
-                let q = &encoded[i];
-                let (pred, conf, sims) = self.forward(q);
-                let err = targets[i] - pred;
-                sq_err += (err as f64) * (err as f64);
-
-                self.update_models(err, &conf, q);
-                if self.config.intercept {
-                    self.intercept += self.config.learning_rate * 0.1 * err;
-                }
-                // Step ⑥: cluster update on the most-similar centre.
-                if let Some(l) = argmax(&sims) {
-                    self.clusters.update(l, sims[l], &q.real);
-                }
-                // Per-batch re-binarisation (§3.2 "or a batch"): keeps the
-                // quantised prediction path responsive to the updates.
-                if model_is_binary && (step + 1) % self.config.quantize_batch == 0 {
-                    self.models.end_epoch();
-                }
-            }
-            self.clusters.end_epoch();
-            self.models.end_epoch();
-
-            let epoch_mse = (sq_err / order.len() as f64) as f32;
-            // Stopping rule on the best MSE seen so far: an epoch only
-            // resets the patience counter if it *improves* on the best by
-            // more than the tolerance. (A last-epoch-relative rule never
-            // fires on noisy quantised training, which oscillates around
-            // its floor.)
-            match history.iter().copied().fold(f32::INFINITY, f32::min) {
-                best if epoch_mse < best * (1.0 - self.config.convergence_tol) => {
-                    calm_epochs = 0;
-                }
-                best if best.is_finite() => calm_epochs += 1,
-                _ => {}
-            }
-            history.push(epoch_mse);
-            if history.len() >= self.config.min_epochs && calm_epochs >= self.config.patience {
-                converged = true;
-                break;
-            }
-        }
-
-        // Binary-tier coherence (see the same call in `refine`): the
-        // bit-packed tier scores against the models' binary copies in every
-        // PredictionMode, so refresh them even in modes whose end_epoch is
-        // a no-op on the model bank.
-        self.models.end_epoch_forced();
-
-        self.trained = true;
-        FitReport {
-            epochs: history.len(),
-            train_mse_history: history,
-            converged,
-        }
+        let encoded: Vec<EncodedQuery> = raw.into_iter().map(|s| self.prepare(s)).collect();
+        let cfg = self.config.clone();
+        self.train(&encoded, targets, rng, |epoch| {
+            FitReport::until_stable(&cfg, epoch)
+        })
     }
 
     fn predict_one(&self, x: &[f32]) -> f32 {
-        let q = self.encode(x);
-        self.forward(&q).0
+        self.forward(&self.encode(x), &mut PredictScratch::default())
     }
 
     /// Batched prediction through the cache-blocked encode kernel with
-    /// every per-row buffer reused (see [`RegHdRegressor::predict_batch_with`]
-    /// for the variant that also reuses buffers *across* calls).
-    ///
-    /// When [`RegHdRegressor::set_threads`] asks for more than one thread,
-    /// rows are split across scoped threads in contiguous chunks with the
-    /// per-row arithmetic unchanged, so the output is **bit-identical** to
-    /// the single-threaded run.
-    fn predict_batch(&self, xs: &[Vec<f32>]) -> Vec<f32> {
-        let mut scratch = PredictScratch::default();
-        self.predict_batch_with(xs, &mut scratch)
+    /// every per-row buffer reused: [`RegHdRegressor::predict_batch_with`]
+    /// with throwaway scratch, honouring [`RegHdRegressor::set_threads`].
+    fn predict(&self, xs: &[Vec<f32>]) -> Vec<f32> {
+        self.predict_batch_with(xs, &mut PredictScratch::default())
     }
 
     fn name(&self) -> String {
@@ -788,6 +742,11 @@ mod tests {
             .build();
         let enc = NonlinearEncoder::new(2, 2048, seed);
         RegHdRegressor::new(cfg, Box::new(enc))
+    }
+
+    /// The binary tier with throwaway scratch.
+    fn binary(m: &RegHdRegressor, xs: &[Vec<f32>]) -> Vec<f32> {
+        m.predict_batch_binary_with(xs, &mut PredictScratch::default())
     }
 
     fn test_mse(model: &RegHdRegressor, xs: &[Vec<f32>], ys: &[f32]) -> f32 {
@@ -913,8 +872,9 @@ mod tests {
         let mut m = make(8, 8);
         m.fit(&xs, &ys);
         let probe = |x: &[f32]| {
-            let q = m.encode(x);
-            argmax(&m.clusters.similarities(&q.real, &q.binary)).unwrap()
+            let mut s = PredictScratch::default();
+            m.forward(&m.encode(x), &mut s);
+            argmax(&s.sims).unwrap()
         };
         let c1 = probe(&[-2.0, -2.0]);
         let c2 = probe(&[2.0, 2.0]);
@@ -1003,7 +963,7 @@ mod tests {
             for pred in PredictionMode::ALL {
                 let mut m = make_with(4, cluster, pred, 12);
                 m.fit(&xs, &ys);
-                let batched = m.predict_batch(&xs[..20]);
+                let batched = m.predict(&xs[..20]);
                 for (x, &b) in xs[..20].iter().zip(&batched) {
                     assert_eq!(
                         m.predict_one(x),
@@ -1020,17 +980,13 @@ mod tests {
         let (xs, ys) = multimodal(120, 21);
         let mut m = make(4, 21);
         m.fit(&xs, &ys);
-        let seq = m.predict_batch(&xs);
-        let seq_degraded = m.predict_batch_binary(&xs);
+        let seq = m.predict(&xs);
+        let seq_degraded = binary(&m, &xs);
         for threads in [0usize, 2, 4, 8] {
             m.set_threads(threads);
             assert_eq!(m.threads(), threads);
-            assert_eq!(m.predict_batch(&xs), seq, "threads={threads}");
-            assert_eq!(
-                m.predict_batch_binary(&xs),
-                seq_degraded,
-                "degraded threads={threads}"
-            );
+            assert_eq!(m.predict(&xs), seq, "threads={threads}");
+            assert_eq!(binary(&m, &xs), seq_degraded, "degraded threads={threads}");
         }
         m.set_threads(1);
     }
@@ -1053,7 +1009,7 @@ mod tests {
         let (xs, ys) = multimodal(80, 23);
         let mut m = make(4, 23);
         m.fit(&xs, &ys);
-        let base = m.predict_batch(&xs[..20]);
+        let base = m.predict(&xs[..20]);
         let mut scratch = PredictScratch::default();
         assert_eq!(m.predict_batch_with(&xs[..20], &mut scratch), base);
         // Steady state: the encoded slots keep their allocations across
@@ -1082,10 +1038,10 @@ mod tests {
         let mut m = make(4, 24);
         m.fit(&xs, &ys);
         assert_eq!(m.trig_mode(), TrigMode::Exact);
-        let exact = m.predict_batch(&xs[..20]);
+        let exact = m.predict(&xs[..20]);
         m.set_trig_mode(TrigMode::Fast);
         assert_eq!(m.trig_mode(), TrigMode::Fast);
-        let fast = m.predict_batch(&xs[..20]);
+        let fast = m.predict(&xs[..20]);
         m.set_trig_mode(TrigMode::Exact);
         for (e, f) in exact.iter().zip(&fast) {
             assert!(
@@ -1146,7 +1102,7 @@ mod tests {
             vec![1.0, f32::INFINITY],
             xs[1].clone(),
         ];
-        let preds = m.predict_batch(&batch);
+        let preds = m.predict(&batch);
         assert_eq!(preds.len(), 4);
         assert!(preds[0].is_finite());
         assert!(preds[1].is_nan());
@@ -1168,12 +1124,12 @@ mod tests {
             for pred in PredictionMode::ALL {
                 let mut m = make_with(4, cluster, pred, 16);
                 m.fit(&xs, &ys);
-                let a = m.predict_batch_binary(&xs[..10]);
+                let a = binary(&m, &xs[..10]);
                 assert!(
                     a.iter().all(|p| p.is_finite()),
                     "non-finite tier output under {cluster:?}/{pred:?}"
                 );
-                assert_eq!(a, m.predict_batch_binary(&xs[..10]));
+                assert_eq!(a, binary(&m, &xs[..10]));
             }
         }
     }
@@ -1183,7 +1139,7 @@ mod tests {
         let (xs, ys) = multimodal(120, 17);
         let mut m = make(4, 17);
         m.fit(&xs, &ys);
-        let base = m.predict_batch_binary(&xs[..20]);
+        let base = binary(&m, &xs[..20]);
         let mut scratch = PredictScratch::default();
         assert_eq!(m.predict_batch_binary_with(&xs[..20], &mut scratch), base);
         assert_eq!(m.predict_batch_binary_with(&xs[..20], &mut scratch), base);
@@ -1197,8 +1153,8 @@ mod tests {
         let (xs, ys) = multimodal(300, 15);
         let mut m = make(4, 15);
         m.fit(&xs, &ys);
-        let full = m.predict_batch(&xs[..50]);
-        let degraded = m.predict_batch_binary(&xs[..50]);
+        let full = m.predict(&xs[..50]);
+        let degraded = binary(&m, &xs[..50]);
         assert!(degraded.iter().all(|p| p.is_finite()));
         // Quantisation costs accuracy but the estimate stays in the same
         // regime (the paper reports <4% quality loss for binary paths).
@@ -1213,7 +1169,7 @@ mod tests {
             .sum::<f32>()
             / 50.0;
         assert!(mse < var, "degraded path diverged: mse {mse} vs var {var}");
-        let nan_row = m.predict_batch_binary(&[vec![f32::NAN, 0.0]]);
+        let nan_row = binary(&m, &[vec![f32::NAN, 0.0]]);
         assert!(nan_row[0].is_nan());
     }
 }

@@ -9,17 +9,19 @@
 //! pass — the paper's "single-pass model" of §2.3, whose accuracy gap to
 //! iterative training is part of Figure 3a's story.
 //!
-//! Differences from the batch trainer: encodings cannot be mean-centred
-//! (the mean is unknown upfront), so the encoder bias is absorbed by the
-//! always-on intercept, and there is no convergence rule — the stream
-//! decides when to stop.
+//! The learner is a [`RegHdRegressor`] — the same banks, forward pass and
+//! per-sample Eq. 7/8 step the batch trainer runs — plus the stream
+//! statistics. Differences from the batch trainer: encodings cannot be
+//! mean-centred (the mean is unknown upfront), so the encoder bias is
+//! absorbed by the always-on intercept, and there is no convergence rule —
+//! the stream decides when to stop.
 
 use crate::banks::{ClusterBank, EncodedQuery, ModelBank};
-use crate::config::{RegHdConfig, UpdateRule};
+use crate::config::RegHdConfig;
+use crate::model::{PredictScratch, RegHdRegressor};
 use crate::traits::{FitReport, Regressor};
 use encoding::Encoder;
 use hdc::rng::HdRng;
-use hdc::similarity::{argmax, softmax};
 
 /// Streaming RegHD: one update per sample, no second pass.
 ///
@@ -41,15 +43,14 @@ use hdc::similarity::{argmax, softmax};
 /// assert!(late_err / 100.0 < 0.2);
 /// ```
 pub struct OnlineRegHd {
-    config: RegHdConfig,
-    encoder: Box<dyn Encoder>,
-    clusters: ClusterBank,
-    models: ModelBank,
-    intercept: f32,
+    /// The learner, built with `center_encodings = false`, `intercept =
+    /// true` and the streaming seed salt.
+    model: RegHdRegressor,
+    /// Forward-pass buffers reused across updates.
+    scratch: PredictScratch,
     samples_seen: u64,
     /// Exponentially weighted prequential squared error.
     ewma_sq_err: f64,
-    ewma_alpha: f64,
     /// Per-cluster EWMA of the absolute prequential error, attributed to
     /// the argmax cluster of each sample. Drift responders use this to
     /// pick the worst-performing cluster to evict.
@@ -59,11 +60,18 @@ pub struct OnlineRegHd {
 impl std::fmt::Debug for OnlineRegHd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OnlineRegHd")
-            .field("dim", &self.config.dim)
-            .field("models", &self.config.models)
+            .field("dim", &self.config().dim)
+            .field("models", &self.config().models)
             .field("samples_seen", &self.samples_seen)
             .finish()
     }
+}
+
+/// The streaming form of a config: no centring, always an intercept.
+fn streaming(mut config: RegHdConfig) -> RegHdConfig {
+    config.center_encodings = false;
+    config.intercept = true;
+    config
 }
 
 impl OnlineRegHd {
@@ -74,32 +82,14 @@ impl OnlineRegHd {
     /// # Panics
     ///
     /// Panics if `encoder.dim() != config.dim` or the config is invalid.
-    pub fn new(mut config: RegHdConfig, encoder: Box<dyn Encoder>) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid RegHdConfig: {e}"));
-        assert_eq!(
-            encoder.dim(),
-            config.dim,
-            "encoder dim {} does not match config dim {}",
-            encoder.dim(),
-            config.dim
-        );
-        config.center_encodings = false;
-        config.intercept = true;
-        let mut rng = HdRng::seed_from(config.seed ^ ONLINE_SEED_SALT);
-        let clusters = ClusterBank::new(config.models, config.dim, config.cluster_mode, &mut rng);
-        let models = ModelBank::new(config.models, config.dim, config.prediction_mode);
+    pub fn new(config: RegHdConfig, encoder: Box<dyn Encoder>) -> Self {
         let k = config.models;
+        let model = RegHdRegressor::with_seed_salt(streaming(config), encoder, ONLINE_SEED_SALT);
         Self {
-            config,
-            encoder,
-            clusters,
-            models,
-            intercept: 0.0,
+            model,
+            scratch: PredictScratch::default(),
             samples_seen: 0,
             ewma_sq_err: 0.0,
-            ewma_alpha: 0.02,
             cluster_err: vec![0.0; k],
         }
     }
@@ -114,7 +104,7 @@ impl OnlineRegHd {
     /// Panics if the config is invalid or any shape disagrees with it.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
-        mut config: RegHdConfig,
+        config: RegHdConfig,
         encoder: Box<dyn Encoder>,
         clusters_int: Vec<hdc::RealHv>,
         models_int: Vec<hdc::RealHv>,
@@ -123,33 +113,24 @@ impl OnlineRegHd {
         ewma_sq_err: f64,
         cluster_err: Vec<f64>,
     ) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid RegHdConfig: {e}"));
-        assert_eq!(encoder.dim(), config.dim, "encoder/config dim mismatch");
-        assert_eq!(clusters_int.len(), config.models, "cluster count mismatch");
-        assert_eq!(models_int.len(), config.models, "model count mismatch");
-        assert_eq!(cluster_err.len(), config.models, "cluster_err mismatch");
-        assert!(
-            clusters_int
-                .iter()
-                .chain(&models_int)
-                .all(|v| v.dim() == config.dim),
-            "bank vectors must match config.dim"
-        );
-        config.center_encodings = false;
-        config.intercept = true;
-        let clusters = ClusterBank::from_parts(config.cluster_mode, clusters_int);
-        let models = ModelBank::from_parts(config.prediction_mode, models_int);
-        Self {
-            config,
+        let model = RegHdRegressor::from_parts(
+            streaming(config),
             encoder,
-            clusters,
-            models,
+            clusters_int,
+            models_int,
+            None,
             intercept,
+        );
+        assert_eq!(
+            cluster_err.len(),
+            model.config().models,
+            "cluster_err mismatch"
+        );
+        Self {
+            model,
+            scratch: PredictScratch::default(),
             samples_seen,
             ewma_sq_err,
-            ewma_alpha: 0.02,
             cluster_err,
         }
     }
@@ -162,22 +143,22 @@ impl OnlineRegHd {
     /// The configuration this regressor runs with (after the streaming
     /// normalisation applied by [`OnlineRegHd::new`]).
     pub fn config(&self) -> &RegHdConfig {
-        &self.config
+        self.model.config()
     }
 
     /// The learned intercept.
     pub fn intercept(&self) -> f32 {
-        self.intercept
+        self.model.intercept()
     }
 
     /// The cluster bank (inspection and persistence access).
     pub fn clusters(&self) -> &ClusterBank {
-        &self.clusters
+        self.model.clusters()
     }
 
     /// The model bank (inspection and persistence access).
     pub fn models(&self) -> &ModelBank {
-        &self.models
+        self.model.models()
     }
 
     /// Per-cluster EWMA of the absolute prequential error (attributed to
@@ -206,20 +187,11 @@ impl OnlineRegHd {
         // positive factor, which cannot flip the sign of any component —
         // so the pre-normalisation binary view equals the
         // post-normalisation one that `EncodedQuery::new` would derive.
-        let (mut s, binary) = self.encoder.encode_both(x);
-        if self.config.normalize_encodings {
+        let (mut s, binary) = self.model.encoder().encode_both(x);
+        if self.config().normalize_encodings {
             s.normalize();
         }
         EncodedQuery::from_parts(s, binary)
-    }
-
-    fn forward(&self, q: &EncodedQuery) -> (f32, Vec<f32>, Vec<f32>) {
-        let sims = self.clusters.similarities(&q.real, &q.binary);
-        let conf = softmax(&sims, self.config.softmax_beta);
-        let scores = self.models.scores(&q.real, &q.binary, q.amp);
-        let pred: f32 =
-            conf.iter().zip(&scores).map(|(&c, &s)| c * s).sum::<f32>() + self.intercept;
-        (pred, conf, sims)
     }
 
     /// Consumes one sample: predicts, measures the prequential error,
@@ -230,46 +202,19 @@ impl OnlineRegHd {
     /// Panics if `x` has the wrong feature width.
     pub fn update(&mut self, x: &[f32], y: f32) -> f32 {
         let q = self.encode(x);
-        let (pred, conf, sims) = self.forward(&q);
-        let err = y - pred;
-
-        let alpha = self.config.learning_rate;
-        match self.config.update_rule {
-            UpdateRule::ConfidenceWeighted => {
-                for (i, &c) in conf.iter().enumerate() {
-                    if c > 1e-6 {
-                        self.models.update(i, alpha * c * err, &q.real);
-                    }
-                }
-            }
-            UpdateRule::SharedError => {
-                for i in 0..conf.len() {
-                    self.models.update(i, alpha * err, &q.real);
-                }
-            }
-            UpdateRule::ArgmaxOnly => {
-                if let Some(l) = argmax(&conf) {
-                    self.models.update(l, alpha * err, &q.real);
-                }
-            }
-        }
-        self.intercept += alpha * 0.1 * err;
-        if let Some(l) = argmax(&sims) {
-            self.clusters.update(l, sims[l], &q.real);
+        let (err, l) = self.model.step(&q, y, &mut self.scratch);
+        if let Some(l) = l {
             let b = CLUSTER_ERR_ALPHA;
             self.cluster_err[l] = (1.0 - b) * self.cluster_err[l] + b * (err.abs() as f64);
         }
-
         self.samples_seen += 1;
         if self
             .samples_seen
-            .is_multiple_of(self.config.quantize_batch as u64)
+            .is_multiple_of(self.config().quantize_batch as u64)
         {
-            self.models.end_epoch();
-            self.clusters.end_epoch();
+            self.quantize_now();
         }
-
-        let a = self.ewma_alpha;
+        let a = PREQUENTIAL_ALPHA;
         self.ewma_sq_err = (1.0 - a) * self.ewma_sq_err + a * (err as f64) * (err as f64);
         err
     }
@@ -297,12 +242,11 @@ impl OnlineRegHd {
     /// Panics if `l` is out of range.
     pub fn reset_cluster(&mut self, l: usize) {
         let mut rng = HdRng::seed_from(
-            self.config.seed
+            self.config().seed
                 ^ ONLINE_SEED_SALT
                 ^ (self.samples_seen.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
-        self.clusters.reset(l, &mut rng);
-        self.models.reset(l);
+        self.model.reset_pair(l, &mut rng);
         self.cluster_err[l] = 0.0;
     }
 
@@ -312,8 +256,7 @@ impl OnlineRegHd {
     /// persisted integer state fully determines prediction behaviour (the
     /// binary copies are re-derived on load).
     pub fn quantize_now(&mut self) {
-        self.models.end_epoch();
-        self.clusters.end_epoch();
+        self.model.end_epoch();
     }
 
     /// Snapshots the current learned state as a batch [`RegHdRegressor`]
@@ -325,14 +268,14 @@ impl OnlineRegHd {
     /// # Panics
     ///
     /// Panics if `spec` does not match the config's dimensionality.
-    pub fn snapshot(&self, spec: &encoding::EncoderSpec) -> crate::RegHdRegressor {
-        crate::RegHdRegressor::from_parts(
-            self.config.clone(),
+    pub fn snapshot(&self, spec: &encoding::EncoderSpec) -> RegHdRegressor {
+        RegHdRegressor::from_parts(
+            self.config().clone(),
             spec.build(),
-            self.clusters.integer_clusters().to_vec(),
-            self.models.integer_models().to_vec(),
+            self.clusters().integer_clusters().to_vec(),
+            self.models().integer_models().to_vec(),
             None,
-            self.intercept,
+            self.intercept(),
         )
     }
 }
@@ -347,31 +290,17 @@ impl Regressor for OnlineRegHd {
             "features and targets must have the same length"
         );
         assert!(!features.is_empty(), "cannot fit on empty data");
-        // Reset.
-        let mut rng = HdRng::seed_from(self.config.seed ^ ONLINE_SEED_SALT);
-        self.clusters = ClusterBank::new(
-            self.config.models,
-            self.config.dim,
-            self.config.cluster_mode,
-            &mut rng,
-        );
-        self.models = ModelBank::new(
-            self.config.models,
-            self.config.dim,
-            self.config.prediction_mode,
-        );
-        self.intercept = 0.0;
+        self.model.reset(ONLINE_SEED_SALT);
         self.samples_seen = 0;
         self.ewma_sq_err = 0.0;
-        self.cluster_err = vec![0.0; self.config.models];
+        self.cluster_err.fill(0.0);
 
         let mut sq = 0.0f64;
         for (x, &y) in features.iter().zip(targets) {
             let e = self.update(x, y);
             sq += (e as f64) * (e as f64);
         }
-        self.models.end_epoch();
-        self.clusters.end_epoch();
+        self.quantize_now();
         FitReport {
             epochs: 1,
             train_mse_history: vec![(sq / targets.len() as f64) as f32],
@@ -380,12 +309,12 @@ impl Regressor for OnlineRegHd {
     }
 
     fn predict_one(&self, x: &[f32]) -> f32 {
-        let q = self.encode(x);
-        self.forward(&q).0
+        self.model
+            .forward(&self.encode(x), &mut PredictScratch::default())
     }
 
     fn name(&self) -> String {
-        format!("RegHD-online-{}", self.config.models)
+        format!("RegHD-online-{}", self.config().models)
     }
 }
 
@@ -395,6 +324,9 @@ const ONLINE_SEED_SALT: u64 = 0x04_71_13_E5;
 
 /// EWMA rate for the per-cluster error attribution.
 const CLUSTER_ERR_ALPHA: f64 = 0.05;
+
+/// EWMA rate of the prequential squared error.
+const PREQUENTIAL_ALPHA: f64 = 0.02;
 
 #[cfg(test)]
 mod tests {

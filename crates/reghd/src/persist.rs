@@ -29,6 +29,7 @@
 //! # Ok::<(), reghd::persist::PersistError>(())
 //! ```
 
+use crate::banks::{ClusterBank, ModelBank};
 use crate::config::{ClusterMode, PredictionMode, RegHdConfig, UpdateRule};
 use crate::model::RegHdRegressor;
 use crate::online::OnlineRegHd;
@@ -157,7 +158,7 @@ fn r_hv<R: Read>(r: &mut R, expect_dim: usize) -> Result<RealHv, PersistError> {
             "hypervector dim {dim} does not match config dim {expect_dim}"
         )));
     }
-    if dim > (1 << 28) {
+    if dim > MAX_SPEC_CELLS {
         return Err(PersistError::Format(format!("implausible dim {dim}")));
     }
     let mut data = Vec::with_capacity(dim);
@@ -336,21 +337,27 @@ fn read_config<R: Read>(r: &mut R) -> Result<RegHdConfig, PersistError> {
         seed: r_u64(r)?,
     };
     cfg.validate().map_err(PersistError::Format)?;
+    // The loaders size buffers by `models`, so the count must be in range
+    // before anything is allocated for it.
+    check_cells("model count:", cfg.models, cfg.dim)?;
     Ok(cfg)
 }
 
-/// Most table cells (`input_dim × dim` projection weights, or
-/// `levels × dim` level-chain components) a persisted spec may ask an
-/// encoder to generate — the same ceiling [`r_hv`] puts on one
-/// hypervector. The spec is read from the stream, and a section CRC is a
-/// checksum, not a MAC, so the spec must be in range before it is built.
+/// Most cells a persisted file may ask the loader to materialise in one
+/// table: `input_dim × dim` projection weights or `levels × dim`
+/// level-chain components of the encoder the spec builds, `models × dim`
+/// components of one learned bank, or one hypervector's `dim` ([`r_hv`]).
+/// These fields are read from the stream, and a section CRC is a
+/// checksum, not a MAC, so they must be in range before anything is built.
 const MAX_SPEC_CELLS: usize = 1 << 28;
 
+/// Refuses a `rows × dim` table beyond [`MAX_SPEC_CELLS`] (or an empty
+/// one); `what` names the table in the error.
 fn check_cells(what: &str, rows: usize, dim: usize) -> Result<(), PersistError> {
     match rows.checked_mul(dim) {
         Some(cells) if rows > 0 && cells <= MAX_SPEC_CELLS => Ok(()),
         _ => Err(PersistError::Format(format!(
-            "implausible encoder shape: {what} {rows} x dim {dim}"
+            "implausible {what} {rows} x dim {dim}"
         ))),
     }
 }
@@ -363,13 +370,13 @@ fn read_spec_checked<R: Read>(r: &mut R, dim: usize) -> Result<EncoderSpec, Pers
             spec.dim()
         )));
     }
-    check_cells("input_dim", spec.input_dim(), dim)?;
+    check_cells("encoder shape: input_dim", spec.input_dim(), dim)?;
     match spec {
         EncoderSpec::Rff { bandwidth, .. } if !(bandwidth > 0.0 && bandwidth.is_finite()) => Err(
             PersistError::Format(format!("bad RFF bandwidth {bandwidth}")),
         ),
         EncoderSpec::IdLevel { levels, range, .. } => {
-            check_cells("levels", levels, dim)?;
+            check_cells("encoder shape: levels", levels, dim)?;
             if levels < 2 || range.0.partial_cmp(&range.1) != Some(std::cmp::Ordering::Less) {
                 return Err(PersistError::Format(format!(
                     "bad ID-level spec: {levels} levels over {range:?}"
@@ -379,6 +386,45 @@ fn read_spec_checked<R: Read>(r: &mut R, dim: usize) -> Result<EncoderSpec, Pers
         }
         _ => Ok(spec),
     }
+}
+
+/// Checks the magic and reads the format version.
+fn read_version<R: Read>(r: &mut R) -> Result<u16, PersistError> {
+    let mut magic = [0u8; 4];
+    r.read_exact(&mut magic)?;
+    if &magic != MAGIC {
+        return Err(PersistError::Format("bad magic".to_string()));
+    }
+    r_u16(r)
+}
+
+/// Writes the learned banks' integer copies: every cluster, then every
+/// model. Binary copies and amplitudes are re-derived on load.
+fn write_banks<W: Write>(
+    w: &mut W,
+    clusters: &ClusterBank,
+    models: &ModelBank,
+) -> Result<(), PersistError> {
+    for hv in clusters
+        .integer_clusters()
+        .iter()
+        .chain(models.integer_models())
+    {
+        w_hv(w, hv)?;
+    }
+    Ok(())
+}
+
+/// Reads what [`write_banks`] wrote: `(clusters, models)`, `cfg.models`
+/// hypervectors of `cfg.dim` each.
+fn read_banks<R: Read>(
+    r: &mut R,
+    cfg: &RegHdConfig,
+) -> Result<(Vec<RealHv>, Vec<RealHv>), PersistError> {
+    let mut bank = || -> Result<Vec<RealHv>, PersistError> {
+        (0..cfg.models).map(|_| r_hv(r, cfg.dim)).collect()
+    };
+    Ok((bank()?, bank()?))
 }
 
 /// Serialises a trained model to any writer. `spec` must describe the
@@ -407,13 +453,7 @@ pub fn save<W: Write>(
         }
         None => w_u8(w, 0)?,
     }
-    for c in model.clusters().integer_clusters() {
-        w_hv(w, c)?;
-    }
-    for m in model.models().integer_models() {
-        w_hv(w, m)?;
-    }
-    Ok(())
+    write_banks(w, model.clusters(), model.models())
 }
 
 /// Deserialises a model from any reader.
@@ -424,12 +464,7 @@ pub fn save<W: Write>(
 /// file (wrong magic/version, inconsistent shapes, bad enum tags) and
 /// [`PersistError::Io`] on read failure.
 pub fn load<R: Read>(r: &mut R) -> Result<RegHdRegressor, PersistError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(PersistError::Format("bad magic".to_string()));
-    }
-    let version = r_u16(r)?;
+    let version = read_version(r)?;
     match version {
         VERSION => {}
         VERSION_KINDED => {
@@ -450,24 +485,15 @@ pub fn load<R: Read>(r: &mut R) -> Result<RegHdRegressor, PersistError> {
         }
     }
     let cfg = read_config(r)?;
-    let dim = cfg.dim;
-    let models = cfg.models;
-    let spec = read_spec_checked(r, dim)?;
+    let spec = read_spec_checked(r, cfg.dim)?;
 
     let intercept = r_f32(r)?;
     let center = if r_u8(r)? != 0 {
-        Some(r_hv(r, dim)?)
+        Some(r_hv(r, cfg.dim)?)
     } else {
         None
     };
-    let mut clusters = Vec::with_capacity(models);
-    for _ in 0..models {
-        clusters.push(r_hv(r, dim)?);
-    }
-    let mut model_hvs = Vec::with_capacity(models);
-    for _ in 0..models {
-        model_hvs.push(r_hv(r, dim)?);
-    }
+    let (clusters, model_hvs) = read_banks(r, &cfg)?;
     Ok(RegHdRegressor::from_parts(
         cfg,
         spec.build(),
@@ -533,13 +559,7 @@ pub fn save_online<W: Write>(
     for &e in model.cluster_errors() {
         w_f64(w, e)?;
     }
-    for c in model.clusters().integer_clusters() {
-        w_hv(w, c)?;
-    }
-    for m in model.models().integer_models() {
-        w_hv(w, m)?;
-    }
-    Ok(())
+    write_banks(w, model.clusters(), model.models())
 }
 
 /// Deserialises a streaming model saved by [`save_online`].
@@ -550,12 +570,7 @@ pub fn save_online<W: Write>(
 /// model file (including batch files, which must go through [`load`]) and
 /// [`PersistError::Io`] on read failure.
 pub fn load_online<R: Read>(r: &mut R) -> Result<OnlineRegHd, PersistError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(PersistError::Format("bad magic".to_string()));
-    }
-    let version = r_u16(r)?;
+    let version = read_version(r)?;
     if version == VERSION {
         return Err(PersistError::Format(
             "this file holds a batch model: use load".to_string(),
@@ -573,25 +588,15 @@ pub fn load_online<R: Read>(r: &mut R) -> Result<OnlineRegHd, PersistError> {
         ));
     }
     let cfg = read_config(r)?;
-    let dim = cfg.dim;
-    let models = cfg.models;
-    let spec = read_spec_checked(r, dim)?;
+    let spec = read_spec_checked(r, cfg.dim)?;
 
     let intercept = r_f32(r)?;
     let samples_seen = r_u64(r)?;
     let ewma_sq_err = r_f64(r)?;
-    let mut cluster_err = Vec::with_capacity(models);
-    for _ in 0..models {
-        cluster_err.push(r_f64(r)?);
-    }
-    let mut clusters = Vec::with_capacity(models);
-    for _ in 0..models {
-        clusters.push(r_hv(r, dim)?);
-    }
-    let mut model_hvs = Vec::with_capacity(models);
-    for _ in 0..models {
-        model_hvs.push(r_hv(r, dim)?);
-    }
+    let cluster_err = (0..cfg.models)
+        .map(|_| r_f64(r))
+        .collect::<Result<_, _>>()?;
+    let (clusters, model_hvs) = read_banks(r, &cfg)?;
     Ok(OnlineRegHd::from_parts(
         cfg,
         spec.build(),
@@ -781,6 +786,31 @@ mod tests {
             save_online(&online, spec, &mut buf).unwrap();
             let err = load_online(&mut buf.as_slice()).unwrap_err();
             assert!(matches!(err, PersistError::Format(_)), "{spec:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn hostile_model_counts_are_format_errors_not_aborts() {
+        // `models` is the second config field, after the magic, the
+        // version (and, in v2 files, the kind byte) and `dim`.
+        let (model, spec, _) = trained(PredictionMode::Full);
+        let mut batch = Vec::new();
+        save(&model, &spec, &mut batch).unwrap();
+        let (online, ospec, _) = streamed(8);
+        let mut stream = Vec::new();
+        save_online(&online, &ospec, &mut stream).unwrap();
+        let refused =
+            |err: PersistError| matches!(err, PersistError::Format(m) if m.contains("model count"));
+        for models in [1u64 << 40, 1 << 61] {
+            let mut buf = batch.clone();
+            buf[14..22].copy_from_slice(&models.to_le_bytes());
+            assert!(refused(load(&mut buf.as_slice()).unwrap_err()), "{models}");
+            let mut buf = stream.clone();
+            buf[15..23].copy_from_slice(&models.to_le_bytes());
+            assert!(
+                refused(load_online(&mut buf.as_slice()).unwrap_err()),
+                "{models}"
+            );
         }
     }
 

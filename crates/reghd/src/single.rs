@@ -66,16 +66,7 @@ impl SingleHdRegressor {
     ///
     /// Panics if `encoder.dim() != config.dim` or the config is invalid.
     pub fn new(config: RegHdConfig, encoder: Box<dyn Encoder>) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid RegHdConfig: {e}"));
-        assert_eq!(
-            encoder.dim(),
-            config.dim,
-            "encoder dim {} does not match config dim {}",
-            encoder.dim(),
-            config.dim
-        );
+        config.assert_valid_for(encoder.dim());
         let dim = config.dim;
         Self {
             config,
@@ -150,11 +141,7 @@ impl Regressor for SingleHdRegressor {
 
         let mut rng = HdRng::seed_from(self.config.seed ^ 0x51_4e_67_1e);
         let mut order: Vec<usize> = (0..features.len()).collect();
-        let mut history = Vec::new();
-        let mut calm_epochs = 0usize;
-        let mut converged = false;
-
-        for _epoch in 0..self.config.max_epochs {
+        let report = FitReport::until_stable(&self.config, || {
             // Fresh shuffle each epoch avoids order bias (§2.3 notes that
             // single-pass training lets late inputs dominate).
             for i in (1..order.len()).rev() {
@@ -172,31 +159,10 @@ impl Regressor for SingleHdRegressor {
                     self.intercept += self.config.learning_rate * 0.1 * err;
                 }
             }
-            let epoch_mse = (sq_err / order.len() as f64) as f32;
-            // Stopping rule: "minor changes during a few consecutive
-            // iterations" — an epoch resets the patience counter only when
-            // it improves on the best MSE so far by more than the
-            // tolerance, so oscillation around a floor counts as calm.
-            match history.iter().copied().fold(f32::INFINITY, f32::min) {
-                best if epoch_mse < best * (1.0 - self.config.convergence_tol) => {
-                    calm_epochs = 0;
-                }
-                best if best.is_finite() => calm_epochs += 1,
-                _ => {}
-            }
-            history.push(epoch_mse);
-            if history.len() >= self.config.min_epochs && calm_epochs >= self.config.patience {
-                converged = true;
-                break;
-            }
-        }
-
+            (sq_err / order.len() as f64) as f32
+        });
         self.trained = true;
-        FitReport {
-            epochs: history.len(),
-            train_mse_history: history,
-            converged,
-        }
+        report
     }
 
     fn predict_one(&self, x: &[f32]) -> f32 {

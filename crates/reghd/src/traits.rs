@@ -1,5 +1,8 @@
 //! The [`Regressor`] interface shared by RegHD and every comparator in the
-//! `baselines` crate, plus the [`FitReport`] returned by training.
+//! `baselines` crate, plus the [`FitReport`] returned by training and the
+//! stopping rule the iterative RegHD trainers share.
+
+use crate::config::RegHdConfig;
 
 /// Outcome of a training run.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,6 +20,38 @@ impl FitReport {
     /// The final training MSE, if at least one epoch ran.
     pub fn final_mse(&self) -> Option<f32> {
         self.train_mse_history.last().copied()
+    }
+
+    /// Runs `epoch` — one training epoch, returning its MSE — until the
+    /// iterative trainers' stopping rule fires or `cfg.max_epochs` epochs
+    /// have run. The rule ("minor changes during a few consecutive
+    /// iterations") compares each epoch with the best MSE so far: only an
+    /// improvement by more than `cfg.convergence_tol` resets the patience
+    /// counter, so training that oscillates around its floor still stops
+    /// (a last-epoch-relative rule never fires on noisy quantised
+    /// training).
+    pub(crate) fn until_stable(cfg: &RegHdConfig, mut epoch: impl FnMut() -> f32) -> Self {
+        let mut history: Vec<f32> = Vec::new();
+        let mut calm_epochs = 0usize;
+        let mut converged = false;
+        for _ in 0..cfg.max_epochs {
+            let epoch_mse = epoch();
+            match history.iter().copied().fold(f32::INFINITY, f32::min) {
+                best if epoch_mse < best * (1.0 - cfg.convergence_tol) => calm_epochs = 0,
+                best if best.is_finite() => calm_epochs += 1,
+                _ => {}
+            }
+            history.push(epoch_mse);
+            if history.len() >= cfg.min_epochs && calm_epochs >= cfg.patience {
+                converged = true;
+                break;
+            }
+        }
+        Self {
+            epochs: history.len(),
+            train_mse_history: history,
+            converged,
+        }
     }
 }
 
@@ -45,18 +80,12 @@ pub trait Regressor {
     /// Predicts targets for a batch of feature vectors.
     ///
     /// The default implementation loops over [`Regressor::predict_one`];
-    /// implementations with a cheaper amortised path (shared scratch
-    /// buffers, one encoding pass) should override this. Serving code
-    /// (`reghd-serve`) funnels coalesced micro-batches through here.
-    fn predict_batch(&self, xs: &[Vec<f32>]) -> Vec<f32> {
-        xs.iter().map(|x| self.predict_one(x)).collect()
-    }
-
-    /// Predicts targets for a batch of feature vectors. Alias for
-    /// [`Regressor::predict_batch`], kept for the bench harness's
-    /// historical call sites.
+    /// learners with a cheaper amortised path override it
+    /// (`RegHdRegressor` runs its blocked batch encoder with reused
+    /// buffers). Serving does not go through this trait: its workers call
+    /// `RegHdRegressor::predict_batch_with` with their own scratch.
     fn predict(&self, features: &[Vec<f32>]) -> Vec<f32> {
-        self.predict_batch(features)
+        features.iter().map(|x| self.predict_one(x)).collect()
     }
 
     /// Human-readable model name used in reports.
@@ -96,14 +125,14 @@ mod tests {
         let mut m = MeanModel { mean: 0.0 };
         m.fit(&[vec![1.0], vec![2.0]], &[10.0, 20.0]);
         assert_eq!(m.predict(&[vec![0.0], vec![9.0]]), vec![15.0, 15.0]);
-        assert_eq!(m.predict_batch(&[vec![0.0], vec![9.0]]), vec![15.0, 15.0]);
-        assert!(m.predict_batch(&[]).is_empty());
+        assert!(m.predict(&[]).is_empty());
     }
 
     #[test]
     fn predict_batch_is_object_safe() {
+        // `predict` is the batch entry point.
         let m: Box<dyn Regressor> = Box::new(MeanModel { mean: 3.0 });
-        assert_eq!(m.predict_batch(&[vec![1.0], vec![2.0]]), vec![3.0, 3.0]);
+        assert_eq!(m.predict(&[vec![1.0], vec![2.0]]), vec![3.0, 3.0]);
     }
 
     #[test]

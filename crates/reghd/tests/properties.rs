@@ -139,7 +139,7 @@ proptest! {
                 }
                 // The batched path must agree with the loaded model too.
                 let batch: Vec<Vec<f32>> = xs.iter().take(5).cloned().collect();
-                prop_assert_eq!(loaded.predict_batch(&batch), m.predict_batch(&batch));
+                prop_assert_eq!(loaded.predict(&batch), m.predict(&batch));
             }
         }
     }

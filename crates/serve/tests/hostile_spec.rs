@@ -1,4 +1,5 @@
-//! Bundles whose checksums are valid but whose encoder spec is hostile.
+//! Bundles whose checksums are valid but whose encoder spec or config
+//! shape is hostile.
 //!
 //! A section CRC is a checksum, not a MAC: anyone can rewrite the model
 //! section and re-sign it. Both bundle decoders must answer such bytes
@@ -13,9 +14,10 @@ use reghd_serve::bundle::{self, crc32, ModelBundle};
 
 /// Offsets inside the persisted model blob (`reghd::persist`, version 1):
 /// magic (4) and version (2), then the 74-byte config block whose first
-/// field is `dim`, then the spec block `tag u8 | input_dim u64 | dim u64 |
-/// seed u64`.
+/// fields are `dim` and `models`, then the spec block `tag u8 | input_dim
+/// u64 | dim u64 | seed u64`.
 const CFG_DIM: usize = 6;
+const CFG_MODELS: usize = 14;
 const SPEC_TAG: usize = 80;
 const SPEC_INPUT_DIM: usize = 81;
 const SPEC_DIM: usize = 89;
@@ -85,6 +87,7 @@ fn offsets_match_the_persist_layout() {
     assert_eq!(u64_at(blob, SPEC_INPUT_DIM), 2);
     assert_eq!(u64_at(blob, SPEC_DIM), 128);
     assert_eq!(u64_at(blob, CFG_DIM), 128);
+    assert_eq!(u64_at(blob, CFG_MODELS), 2);
     assert_eq!(
         resigned(&[]),
         bytes,
@@ -113,10 +116,32 @@ fn input_dim_disagreeing_with_the_scalers_is_refused() {
     assert_refused(&resigned(&[(SPEC_INPUT_DIM, 3)]), "scalers carry 2");
 }
 
+#[test]
+fn huge_model_count_is_a_typed_error_not_an_abort() {
+    for models in [1u64 << 40, 1 << 61] {
+        assert_refused(
+            &resigned(&[(CFG_MODELS, models)]),
+            "implausible model count",
+        );
+    }
+}
+
 /// A dim field: the real value (so some cases decode and must serve),
 /// small values, values near the real one, or anything at all.
 fn dim_field(real: u64) -> impl Strategy<Value = u64> {
     prop_oneof![Just(real), 0u64..5, 126u64..131, any::<u64>()]
+}
+
+/// A model-count field: the real value, small counts, counts whose bank
+/// cannot fit in memory, or anything at all.
+fn models_field(real: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(real),
+        0u64..5,
+        Just(1u64 << 40),
+        Just(1u64 << 61),
+        any::<u64>()
+    ]
 }
 
 proptest! {
@@ -127,11 +152,13 @@ proptest! {
         input_dim in dim_field(2),
         spec_dim in dim_field(128),
         cfg_dim in dim_field(128),
+        models in models_field(2),
     ) {
         let bytes = resigned(&[
             (SPEC_INPUT_DIM, input_dim),
             (SPEC_DIM, spec_dim),
             (CFG_DIM, cfg_dim),
+            (CFG_MODELS, models),
         ]);
         let decoded = [ModelBundle::from_bytes(&bytes), ModelBundle::decode_serving(&bytes)];
         // Anything accepted must serve: predicts answer, not panic.

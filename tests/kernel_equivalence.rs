@@ -157,7 +157,7 @@ fn predict_batch_with_scratch_is_bit_identical_in_every_mode() {
                 .build();
             let mut m = RegHdRegressor::new(cfg, Box::new(NonlinearEncoder::new(4, 256, 5)));
             m.fit(&xs, &ys);
-            let want = m.predict_batch(&xs);
+            let want = m.predict(&xs);
             for threads in [1usize, 2, 4] {
                 m.set_threads(threads);
                 assert_eq!(
@@ -168,7 +168,7 @@ fn predict_batch_with_scratch_is_bit_identical_in_every_mode() {
             }
             m.set_threads(1);
             // Degraded (binary-query) replies go through the same engine.
-            let deg = m.predict_batch_binary(&xs);
+            let deg = m.predict_batch_binary_with(&xs, &mut scratch);
             assert_eq!(deg.len(), xs.len());
             assert!(deg.iter().all(|p| p.is_finite()));
         }
@@ -190,10 +190,10 @@ fn fast_trig_predictions_stay_close_end_to_end() {
         .build();
     let mut m = RegHdRegressor::new(cfg, Box::new(NonlinearEncoder::new(4, 512, 13)));
     m.fit(&xs, &ys);
-    let exact = m.predict_batch(&xs);
+    let exact = m.predict(&xs);
     m.set_trig_mode(TrigMode::Fast);
     assert_eq!(m.trig_mode(), TrigMode::Fast);
-    let fast = m.predict_batch(&xs);
+    let fast = m.predict(&xs);
     for (e, f) in exact.iter().zip(&fast) {
         assert!(f.is_finite());
         assert!(
@@ -202,5 +202,5 @@ fn fast_trig_predictions_stay_close_end_to_end() {
         );
     }
     m.set_trig_mode(TrigMode::Exact);
-    assert_eq!(bits(&m.predict_batch(&xs)), bits(&exact));
+    assert_eq!(bits(&m.predict(&xs)), bits(&exact));
 }

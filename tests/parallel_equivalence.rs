@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use reghd_net::client::PredictReply;
 use reghd_net::{serve_rgnp, NetConfig, RgnpClient};
 use reghd_repro::prelude::*;
+use reghd_repro::reghd::PredictScratch;
 use reghd_serve::{bundle, ModelRegistry};
 use std::sync::Arc;
 
@@ -61,17 +62,18 @@ fn predict_batch_is_bit_identical_in_every_mode_at_every_thread_count() {
                 .build();
             let mut m = RegHdRegressor::new(cfg, Box::new(NonlinearEncoder::new(4, 256, 5)));
             m.fit(&xs, &ys);
-            let seq = m.predict_batch(&xs);
-            let seq_deg = m.predict_batch_binary(&xs);
+            let mut scratch = PredictScratch::default();
+            let seq = m.predict(&xs);
+            let seq_deg = m.predict_batch_binary_with(&xs, &mut scratch);
             for threads in THREADS {
                 m.set_threads(threads);
                 assert_eq!(
-                    bits(&m.predict_batch(&xs)),
+                    bits(&m.predict(&xs)),
                     bits(&seq),
                     "{cluster:?}/{pred:?} threads={threads}"
                 );
                 assert_eq!(
-                    bits(&m.predict_batch_binary(&xs)),
+                    bits(&m.predict_batch_binary_with(&xs, &mut scratch)),
                     bits(&seq_deg),
                     "degraded {cluster:?}/{pred:?} threads={threads}"
                 );
@@ -112,7 +114,7 @@ proptest! {
             m.set_threads(threads);
             m.fit(&xs, &ys);
             m.set_threads(1);
-            bits(&m.predict_batch(&xs))
+            bits(&m.predict(&xs))
         };
         let seq = fit(1);
         for threads in THREADS {

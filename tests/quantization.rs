@@ -3,6 +3,7 @@
 //! finite, and land in a sane quality band.
 
 use reghd_repro::prelude::*;
+use reghd_repro::reghd::PredictScratch;
 
 fn task() -> (Vec<Vec<f32>>, Vec<f32>) {
     // Smooth nonlinear 3-feature task with mild noise.
@@ -189,7 +190,7 @@ fn packed_popcount_tier_matches_unpacked_computation() {
             m.fit(&xs, &ys);
 
             let rows = &xs[..8];
-            let got = m.predict_batch_binary(rows);
+            let got = m.predict_batch_binary_with(rows, &mut PredictScratch::default());
             for (i, x) in rows.iter().enumerate() {
                 // Encode + centre exactly like the tier does.
                 let mut vals = vec![0.0f32; dim];
