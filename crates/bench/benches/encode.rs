@@ -49,7 +49,7 @@ fn bench_encode_binary(c: &mut Criterion) {
     let enc = NonlinearEncoder::new(n, dim, 0);
     let mut group = c.benchmark_group("encode/precision");
     group.bench_function("real-only", |b| b.iter(|| enc.encode(&x)));
-    group.bench_function("real+binary", |b| b.iter(|| enc.encode_both(&x)));
+    group.bench_function("real+binary", |b| b.iter(|| enc.encode(&x).binarize()));
     group.finish();
 }
 

@@ -6,7 +6,12 @@
 //! and unrelated inputs become nearly orthogonal ("the common-sense
 //! principle").
 //!
-//! Five encoders are provided:
+//! Five encoders are provided. The first three are one random projection
+//! `p = ⟨F, W_d⟩` followed by a per-component post-op, and share one
+//! crate-private projection core: the spec-keyed weight, phase and int8
+//! tables, the lazily built SIMD packing, and the one-row, batch and int8
+//! matvecs. Each encoder's scalar `encode` is the batch matvec on a batch of
+//! one followed by the same post-op, so the two paths are bit-identical.
 //!
 //! * [`NonlinearEncoder`] — RegHD's default, the paper's Eq. 1 map
 //!   `H[d] = cos(⟨F, W_d⟩ + b[d]) · sin(⟨F, W_d⟩)` over a Gaussian
@@ -14,9 +19,9 @@
 //!   per-feature bipolar form, which is representationally degenerate).
 //! * [`RffEncoder`] — the widely used random-Fourier-feature variant
 //!   `H[d] = cos(w_d·F + b_d)`; kept for ablation against Eq. 1.
-//! * [`ProjectionEncoder`] — plain signed random projection (no
-//!   nonlinearity); isolates the contribution of the trigonometric
-//!   nonlinearity in ablations.
+//! * [`ProjectionEncoder`] — plain signed random projection (the identity
+//!   post-op over ±1 weights); isolates the contribution of the
+//!   trigonometric nonlinearity in ablations.
 //! * [`IdLevelEncoder`] — the classic ID–level HDC record encoding used by
 //!   pre-RegHD classification systems; it is the substrate for the
 //!   Baseline-HD comparator (paper ref. \[18\]).
@@ -53,6 +58,7 @@
 pub mod id_level;
 pub mod nonlinear;
 pub mod projection;
+mod projection_core;
 pub mod rff;
 pub mod spec;
 pub mod temporal;
@@ -99,19 +105,6 @@ pub trait Encoder: Send + Sync {
         self.encode(features).binarize()
     }
 
-    /// Encodes into both precisions at once — RegHD's quantized training
-    /// keeps integer and binary copies of each encoded point (§3.1), and
-    /// producing them together avoids a second pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len() != self.input_dim()`.
-    fn encode_both(&self, features: &[f32]) -> (RealHv, BinaryHv) {
-        let real = self.encode(features);
-        let binary = real.binarize();
-        (real, binary)
-    }
-
     /// Encodes a batch of rows, splitting the rows across up to `threads`
     /// scoped threads.
     ///
@@ -138,10 +131,10 @@ pub trait Encoder: Send + Sync {
     ///
     /// The default implementation runs the scalar [`Encoder::encode`] per
     /// row; `NonlinearEncoder`, `RffEncoder`, and `ProjectionEncoder`
-    /// override it with the cache-blocked kernels of [`hdc::kernels`],
-    /// which are bit-identical to the scalar path by construction, so every
-    /// implementation of this method yields bit-identical results at every
-    /// thread count.
+    /// override it with their shared projection core, whose batch matvec is
+    /// the one their scalar `encode` runs on a batch of one, followed by the
+    /// same post-op. So every implementation of this method yields results
+    /// bit-identical to `encode` at every thread count.
     ///
     /// # Panics
     ///
@@ -223,15 +216,6 @@ mod tests {
                 assert_eq!(ab, bb, "threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn encode_both_agrees_with_parts() {
-        let enc = NonlinearEncoder::new(2, 128, 5);
-        let x = [0.3, -0.6];
-        let (real, binary) = enc.encode_both(&x);
-        assert_eq!(real, enc.encode(&x));
-        assert_eq!(binary, enc.encode_binary(&x));
     }
 
     #[test]

@@ -30,16 +30,9 @@
 //! artefact that downstream learners remove by mean-centring (see
 //! `reghd::RegHdConfig::center_encodings`).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
-
+use crate::projection_core::{Kind, ProjectionCore, TrigKnob};
 use crate::Encoder;
-use hdc::kernels::{fast_cos, fast_sin, project_blocked};
-use hdc::quant::{quantize_i8, QuantizedWeights};
-use hdc::rng::HdRng;
-use hdc::simd::{PackedProjection, SimdLevel};
-use hdc::{BinaryHv, RealHv, TrigMode};
+use hdc::{RealHv, TrigMode};
 
 /// RegHD's default encoder: Gaussian projection through the
 /// `cos(p + b)·sin(p)` nonlinearity.
@@ -64,129 +57,10 @@ use hdc::{BinaryHv, RealHv, TrigMode};
 /// let b = enc.encode(&[0.5, 0.2, -0.1]);
 /// assert_eq!(a, b); // deterministic
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NonlinearEncoder {
-    tables: Arc<Tables>,
-    input_dim: usize,
-    dim: usize,
-    /// Trig evaluation mode ([`TrigMode`] as a byte); atomic so the knob is
-    /// flippable through `&self` on a shared encoder.
-    trig: AtomicU8,
-}
-
-/// The spec-derived state of a [`NonlinearEncoder`], shared by every
-/// encoder of one `(input_dim, dim, seed)`.
-#[derive(Debug)]
-struct Tables {
-    /// Row-major Gaussian projection matrix: `dim` rows × `input_dim`.
-    weights: Vec<f32>,
-    /// `b`: random phase offsets, uniform in `[0, 2π)`.
-    phases: Vec<f32>,
-    /// §3.2 int8 copy of the projection matrix (one scale per output dim),
-    /// backing [`Encoder::encode_quantized_into`].
-    quant: QuantizedWeights,
-    /// `½·sin(b[d])` per dimension — the input-independent bias term of the
-    /// product-to-sum expansion (module docs), precomputed so the quantised
-    /// tier evaluates **one** sine per component instead of a sin·cos pair.
-    quant_half_sin: Vec<f32>,
-    /// Lane-major weight packing, built at the first batch encode under a
-    /// SIMD level so the per-call transpose cost disappears from the
-    /// serving path. It is never built while the active level is scalar,
-    /// so a spec first touched under `scalar` still packs once the
-    /// detected level is activated — the only SIMD level a process can run.
-    packed: OnceLock<Option<PackedProjection>>,
-}
-
-impl Tables {
-    fn generate(input_dim: usize, dim: usize, seed: u64) -> Self {
-        let mut rng = HdRng::seed_from(seed);
-        let scale = 1.0 / (input_dim as f32).sqrt();
-        let weights: Vec<f32> = (0..dim * input_dim)
-            .map(|_| scale * rng.next_gaussian() as f32)
-            .collect();
-        let phases: Vec<f32> = (0..dim)
-            .map(|_| (rng.next_f64() * std::f64::consts::TAU) as f32)
-            .collect();
-        let quant = QuantizedWeights::from_f32(&weights, input_dim, dim);
-        let quant_half_sin = phases.iter().map(|&b| 0.5 * fast_sin(b)).collect();
-        Self {
-            weights,
-            phases,
-            quant,
-            quant_half_sin,
-            packed: OnceLock::new(),
-        }
-    }
-}
-
-type SpecKey = (usize, usize, u64);
-
-/// Process-wide `spec → tables` map. It holds only `Weak` handles, so the
-/// tables die with the last encoder using them; dead entries are pruned
-/// whenever the map has doubled since the last prune, which keeps the map
-/// within a constant factor of the live specs at O(1) amortised cost per
-/// build.
-#[derive(Default)]
-struct TableCache {
-    map: HashMap<SpecKey, Weak<Tables>>,
-    /// Map length right after the last prune.
-    pruned_len: usize,
-}
-
-/// Below this many entries the cache is never pruned.
-const MIN_PRUNE_LEN: usize = 64;
-
-fn table_cache() -> MutexGuard<'static, TableCache> {
-    static CACHE: OnceLock<Mutex<TableCache>> = OnceLock::new();
-    // Every update (insert, retain) leaves the map of weak handles valid,
-    // so a guard poisoned by a panicking holder is safe to reuse.
-    CACHE
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-impl TableCache {
-    fn live(&self, key: &SpecKey) -> Option<Arc<Tables>> {
-        self.map.get(key).and_then(Weak::upgrade)
-    }
-
-    fn insert(&mut self, key: SpecKey, tables: &Arc<Tables>) {
-        self.map.insert(key, Arc::downgrade(tables));
-        if self.map.len() >= (2 * self.pruned_len).max(MIN_PRUNE_LEN) {
-            self.map.retain(|_, t| t.strong_count() > 0);
-            self.pruned_len = self.map.len();
-        }
-    }
-}
-
-/// The shared tables of `key`, generating them if no live encoder holds
-/// them.
-fn shared_tables(key: SpecKey) -> Arc<Tables> {
-    if let Some(tables) = table_cache().live(&key) {
-        return tables;
-    }
-    // Generated outside the lock: lookups of other specs must not queue
-    // behind `dim × input_dim` Gaussian draws. A thread racing on the same
-    // spec generated identical tables; the first one inserted wins.
-    let built = Arc::new(Tables::generate(key.0, key.1, key.2));
-    let mut cache = table_cache();
-    if let Some(tables) = cache.live(&key) {
-        return tables;
-    }
-    cache.insert(key, &built);
-    built
-}
-
-impl Clone for NonlinearEncoder {
-    fn clone(&self) -> Self {
-        Self {
-            tables: Arc::clone(&self.tables),
-            input_dim: self.input_dim,
-            dim: self.dim,
-            trig: AtomicU8::new(self.trig.load(Ordering::Relaxed)),
-        }
-    }
+    core: ProjectionCore,
+    trig: TrigKnob,
 }
 
 impl NonlinearEncoder {
@@ -198,13 +72,9 @@ impl NonlinearEncoder {
     ///
     /// Panics if `input_dim == 0` or `dim == 0`.
     pub fn new(input_dim: usize, dim: usize, seed: u64) -> Self {
-        assert!(input_dim > 0, "input_dim must be nonzero");
-        assert!(dim > 0, "dim must be nonzero");
         Self {
-            tables: shared_tables((input_dim, dim, seed)),
-            input_dim,
-            dim,
-            trig: AtomicU8::new(TrigMode::Exact.as_u8()),
+            core: ProjectionCore::new(Kind::Nonlinear, input_dim, dim, seed),
+            trig: TrigKnob::default(),
         }
     }
 
@@ -212,31 +82,12 @@ impl NonlinearEncoder {
     /// spec `(input_dim, dim, seed)`; `0` once the last one is dropped and
     /// its tables are freed.
     pub fn table_holders(input_dim: usize, dim: usize, seed: u64) -> usize {
-        table_cache()
-            .map
-            .get(&(input_dim, dim, seed))
-            .map_or(0, Weak::strong_count)
-    }
-
-    /// The SIMD weight packing for the active dispatch level, or `None`
-    /// when the active level is scalar.
-    fn packed_for_active(&self) -> Option<&PackedProjection> {
-        let level = hdc::simd::active();
-        if level == SimdLevel::Scalar {
-            return None;
-        }
-        let t = &*self.tables;
-        t.packed
-            .get_or_init(|| {
-                PackedProjection::for_level(level, &t.weights, self.input_dim, self.dim)
-            })
-            .as_ref()
-            .filter(|p| p.level() == level)
+        ProjectionCore::holders(Kind::Nonlinear, input_dim, dim, seed)
     }
 
     /// The random phase hypervector `b`.
     pub fn phases(&self) -> &[f32] {
-        &self.tables.phases
+        self.core.phases()
     }
 
     /// The projection row `W_d` for output component `d`.
@@ -245,149 +96,77 @@ impl NonlinearEncoder {
     ///
     /// Panics if `d >= dim()`.
     pub fn projection_row(&self, d: usize) -> &[f32] {
-        assert!(
-            d < self.dim,
-            "component index {d} out of range {}",
-            self.dim
-        );
-        &self.tables.weights[d * self.input_dim..(d + 1) * self.input_dim]
+        let (n, dim) = (self.core.input_dim(), self.core.dim());
+        assert!(d < dim, "component index {d} out of range {dim}");
+        &self.core.weights()[d * n..(d + 1) * n]
+    }
+
+    /// Eq. 1's post-op over the projected values `p`:
+    /// `cos(p + b)·sin(p)`, through `libm` or the fast polynomial.
+    fn post(&self, mode: TrigMode, vals: &mut [f32]) {
+        let phases = self.core.phases();
+        match mode {
+            TrigMode::Exact => {
+                for (v, &b) in vals.iter_mut().zip(phases) {
+                    let p = *v;
+                    *v = (p + b).cos() * p.sin();
+                }
+            }
+            // Bit-identical to the scalar `fast_cos(p + b)·fast_sin(p)` at
+            // every dispatch level.
+            TrigMode::Fast => hdc::simd::nonlinear_post_fast(vals, phases),
+        }
     }
 }
 
 impl Encoder for NonlinearEncoder {
     fn input_dim(&self) -> usize {
-        self.input_dim
+        self.core.input_dim()
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.core.dim()
     }
 
     fn encode(&self, features: &[f32]) -> RealHv {
-        assert_eq!(
-            features.len(),
-            self.input_dim,
-            "encode: expected {} features, got {}",
-            self.input_dim,
-            features.len()
-        );
-        let fast = self.trig_mode() == TrigMode::Fast;
-        let t = &*self.tables;
-        let mut out = Vec::with_capacity(self.dim);
-        for d in 0..self.dim {
-            let row = &t.weights[d * self.input_dim..(d + 1) * self.input_dim];
-            let p: f32 = row.iter().zip(features).map(|(&w, &f)| w * f).sum();
-            out.push(if fast {
-                fast_cos(p + t.phases[d]) * fast_sin(p)
-            } else {
-                (p + t.phases[d]).cos() * p.sin()
-            });
-        }
-        RealHv::from_vec(out)
-    }
-
-    fn encode_both(&self, features: &[f32]) -> (RealHv, BinaryHv) {
-        // Fused single pass: the sign bit of each component is packed while
-        // the component is still in a register, instead of re-walking the
-        // real hypervector in `binarize()`. Identical results to
-        // `(self.encode(x), self.encode(x).binarize())` by construction —
-        // the bit test is the same `v > 0.0` that `binarize` uses.
-        assert_eq!(
-            features.len(),
-            self.input_dim,
-            "encode: expected {} features, got {}",
-            self.input_dim,
-            features.len()
-        );
-        let fast = self.trig_mode() == TrigMode::Fast;
-        let t = &*self.tables;
-        let mut out = Vec::with_capacity(self.dim);
-        let mut words = vec![0u64; self.dim.div_ceil(64)];
-        for d in 0..self.dim {
-            let row = &t.weights[d * self.input_dim..(d + 1) * self.input_dim];
-            let p: f32 = row.iter().zip(features).map(|(&w, &f)| w * f).sum();
-            let v = if fast {
-                fast_cos(p + t.phases[d]) * fast_sin(p)
-            } else {
-                (p + t.phases[d]).cos() * p.sin()
-            };
-            if v > 0.0 {
-                words[d / 64] |= 1u64 << (d % 64);
-            }
-            out.push(v);
-        }
-        (RealHv::from_vec(out), BinaryHv::from_words(self.dim, words))
+        let mode = self.trig_mode();
+        self.core.encode(features, |v| self.post(mode, v))
     }
 
     fn encode_batch_into(&self, rows: &[Vec<f32>], out: &mut [RealHv], threads: usize) {
-        let threads = hdc::par::resolve_threads(threads);
         let mode = self.trig_mode();
-        let t = &*self.tables;
-        hdc::par::chunked_zip_mut(rows, out, threads, |part, out_part| {
-            let row_refs: Vec<&[f32]> = part.iter().map(Vec::as_slice).collect();
-            // The pre-packed SIMD layout skips the per-call weight
-            // transpose; on level mismatch (or scalar dispatch)
-            // `project_blocked` runs the same matvec bit-identically.
-            match self.packed_for_active() {
-                Some(packed) => packed.project_into(&row_refs, out_part),
-                None => project_blocked(&t.weights, self.input_dim, self.dim, &row_refs, out_part),
-            }
-            // Trig post-op in place over the projected values; the exact arm
-            // is the same expression as the scalar `encode` loop, so the
-            // batch path stays bit-identical to it. The fast arm dispatches
-            // to the SIMD lanes, which are bit-identical to the scalar
-            // `fast_cos(p + b) · fast_sin(p)` by construction.
-            for hv in out_part.iter_mut() {
-                match mode {
-                    TrigMode::Exact => {
-                        for (v, &b) in hv.as_mut_slice().iter_mut().zip(&t.phases) {
-                            let p = *v;
-                            *v = (p + b).cos() * p.sin();
-                        }
-                    }
-                    TrigMode::Fast => {
-                        hdc::simd::nonlinear_post_fast(hv.as_mut_slice(), &t.phases);
-                    }
-                }
-            }
-        });
+        self.core
+            .encode_batch_into(rows, out, threads, |v| self.post(mode, v));
     }
 
     fn encode_quantized_into(&self, features: &[f32], out: &mut [f32]) -> bool {
-        assert_eq!(
-            features.len(),
-            self.input_dim,
-            "encode: expected {} features, got {}",
-            self.input_dim,
-            features.len()
-        );
-        assert_eq!(out.len(), self.dim, "output width must match dim");
-        let t = &*self.tables;
-        let mut row_q = Vec::with_capacity(self.input_dim);
-        let row_scale = quantize_i8(features, &mut row_q);
-        t.quant.project_row_into(&row_q, row_scale, out);
+        self.core.project_quantized_into(features, out);
         // The quantised tier is approximate by design, so it always takes
         // the fast polynomial trig regardless of the encoder's TrigMode —
         // the knob continues to govern only the full-precision paths. The
         // product-to-sum form (module docs) plus the precomputed bias table
         // costs one `fast_sin` per component instead of a sin·cos pair.
-        hdc::simd::nonlinear_post_quant(out, &t.phases, &t.quant_half_sin);
+        hdc::simd::nonlinear_post_quant(out, self.core.phases(), self.core.half_sin_phases());
         true
     }
 
     fn trig_mode(&self) -> TrigMode {
-        TrigMode::from_u8(self.trig.load(Ordering::Relaxed))
+        self.trig.get()
     }
 
     fn set_trig_mode(&self, mode: TrigMode) {
-        self.trig.store(mode.as_u8(), Ordering::Relaxed);
+        self.trig.set(mode);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::projection_core::{table_cache, MIN_PRUNE_LEN};
+    use hdc::rng::HdRng;
+    use hdc::simd::{PackedProjection, SimdLevel};
     use hdc::similarity::cosine;
+    use std::sync::{Arc, PoisonError};
 
     #[test]
     fn deterministic_given_seed() {
@@ -549,19 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_encode_both_matches_separate_passes() {
-        let enc = NonlinearEncoder::new(5, 321, 29);
-        let x = [0.4, -1.2, 0.0, 2.5, -0.3];
-        for mode in [TrigMode::Exact, TrigMode::Fast] {
-            enc.set_trig_mode(mode);
-            let (real, binary) = enc.encode_both(&x);
-            assert_eq!(real, enc.encode(&x), "{mode:?}");
-            assert_eq!(binary, enc.encode(&x).binarize(), "{mode:?}");
-        }
-        enc.set_trig_mode(TrigMode::Exact);
-    }
-
-    #[test]
     fn batch_kernel_is_bit_identical_to_scalar_in_both_trig_modes() {
         let enc = NonlinearEncoder::new(3, 259, 31);
         let rows: Vec<Vec<f32>> = (0..7)
@@ -606,9 +372,9 @@ mod tests {
         let a = NonlinearEncoder::new(3, 256, 0x5EED_0001);
         let b = NonlinearEncoder::new(3, 256, 0x5EED_0001);
         let other = NonlinearEncoder::new(3, 256, 0x5EED_0002);
-        assert!(Arc::ptr_eq(&a.tables, &b.tables));
-        assert!(Arc::ptr_eq(&a.tables, &a.clone().tables));
-        assert!(!Arc::ptr_eq(&a.tables, &other.tables));
+        assert!(Arc::ptr_eq(&a.core.tables, &b.core.tables));
+        assert!(Arc::ptr_eq(&a.core.tables, &a.clone().core.tables));
+        assert!(!Arc::ptr_eq(&a.core.tables, &other.core.tables));
         assert_eq!(NonlinearEncoder::table_holders(3, 256, 0x5EED_0001), 2);
         assert_eq!(NonlinearEncoder::table_holders(3, 256, 0x5EED_0002), 1);
     }
@@ -617,7 +383,7 @@ mod tests {
     fn dropping_every_holder_frees_the_tables() {
         let a = NonlinearEncoder::new(2, 128, 0x5EED_0003);
         let b = a.clone();
-        let weak = Arc::downgrade(&a.tables);
+        let weak = Arc::downgrade(&a.core.tables);
         assert_eq!(NonlinearEncoder::table_holders(2, 128, 0x5EED_0003), 2);
         drop(a);
         assert!(weak.upgrade().is_some(), "a live clone keeps the tables");
@@ -670,7 +436,7 @@ mod tests {
         enc.encode_batch_into(&rows, &mut scalar, 1);
         hdc::simd::set_level(detected).unwrap();
         enc.encode_batch_into(&rows, &mut packed, 1);
-        let level = enc.packed_for_active().map(PackedProjection::level);
+        let level = enc.core.packed_for_active().map(PackedProjection::level);
         hdc::simd::set_level(prev).unwrap();
         assert_eq!(level, Some(detected));
         for (s, p) in scalar.iter().zip(&packed) {

@@ -1,17 +1,18 @@
 //! Plain random-projection encoder (no nonlinearity).
 //!
-//! `H[d] = Σ_k f_k · B_k[d]` — a linear signed projection through the same
-//! random bipolar base hypervectors as [`crate::NonlinearEncoder`], but with
-//! the trigonometric nonlinearity removed. A linear learner over this
-//! encoding is equivalent to a linear learner over the raw features, so the
-//! gap between this encoder and Eq. 1 in the ablation benches isolates the
-//! value of the encoder's nonlinearity (the property the paper credits for
-//! RegHD "learning a regression model in an efficient and linear way").
+//! `H[d] = Σ_k f_k · B_k[d]` — a linear signed projection through random
+//! bipolar base hypervectors `B_k ∈ {−1,+1}^D` (the bases of the printed
+//! Eq. 1), with the trigonometric nonlinearity removed. The bases are the
+//! ±1.0 rows of the shared projection core, so this encoder is that core
+//! with the identity post-op. A linear learner over this encoding is
+//! equivalent to a linear learner over the raw features, so the gap between
+//! this encoder and Eq. 1 in the ablation benches isolates the value of the
+//! encoder's nonlinearity (the property the paper credits for RegHD
+//! "learning a regression model in an efficient and linear way").
 
+use crate::projection_core::{Kind, ProjectionCore};
 use crate::Encoder;
-use hdc::kernels::project_bipolar_blocked;
-use hdc::rng::HdRng;
-use hdc::{BipolarHv, RealHv};
+use hdc::RealHv;
 
 /// Linear signed random projection into HD space.
 ///
@@ -33,9 +34,7 @@ use hdc::{BipolarHv, RealHv};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProjectionEncoder {
-    bases: Vec<BipolarHv>,
-    input_dim: usize,
-    dim: usize,
+    core: ProjectionCore,
 }
 
 impl ProjectionEncoder {
@@ -45,53 +44,30 @@ impl ProjectionEncoder {
     ///
     /// Panics if `input_dim == 0` or `dim == 0`.
     pub fn new(input_dim: usize, dim: usize, seed: u64) -> Self {
-        assert!(input_dim > 0, "input_dim must be nonzero");
-        assert!(dim > 0, "dim must be nonzero");
-        let mut rng = HdRng::seed_from(seed);
-        let bases = (0..input_dim)
-            .map(|_| BipolarHv::random(dim, &mut rng))
-            .collect();
         Self {
-            bases,
-            input_dim,
-            dim,
+            core: ProjectionCore::new(Kind::Projection, input_dim, dim, seed),
         }
     }
 }
 
+/// The linear encoder's post-op: the identity.
+fn post(_: &mut [f32]) {}
+
 impl Encoder for ProjectionEncoder {
     fn input_dim(&self) -> usize {
-        self.input_dim
+        self.core.input_dim()
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.core.dim()
     }
 
     fn encode(&self, features: &[f32]) -> RealHv {
-        assert_eq!(
-            features.len(),
-            self.input_dim,
-            "encode: expected {} features, got {}",
-            self.input_dim,
-            features.len()
-        );
-        let mut out = vec![0.0f32; self.dim];
-        for (k, &f) in features.iter().enumerate() {
-            let base = self.bases[k].as_slice();
-            for (o, &b) in out.iter_mut().zip(base) {
-                *o += f * b as f32;
-            }
-        }
-        RealHv::from_vec(out)
+        self.core.encode(features, post)
     }
 
     fn encode_batch_into(&self, rows: &[Vec<f32>], out: &mut [RealHv], threads: usize) {
-        let threads = hdc::par::resolve_threads(threads);
-        hdc::par::chunked_zip_mut(rows, out, threads, |part, out_part| {
-            let row_refs: Vec<&[f32]> = part.iter().map(Vec::as_slice).collect();
-            project_bipolar_blocked(&self.bases, self.dim, &row_refs, out_part);
-        });
+        self.core.encode_batch_into(rows, out, threads, post);
     }
 }
 

@@ -8,14 +8,8 @@
 //! similarity-preserving map. Included here to ablate against the paper's
 //! Eq. 1 form ([`crate::NonlinearEncoder`]).
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
+use crate::projection_core::{Kind, ProjectionCore, TrigKnob};
 use crate::Encoder;
-use hdc::kernels::{fast_cos, project_blocked};
-use hdc::quant::{quantize_i8, QuantizedWeights};
-use hdc::rng::HdRng;
-use hdc::simd::{PackedProjection, SimdLevel};
 use hdc::{RealHv, TrigMode};
 
 /// Gaussian random-projection + cosine encoder (random Fourier features).
@@ -31,40 +25,11 @@ use hdc::{RealHv, TrigMode};
 /// // Components are bounded by the cosine range.
 /// assert!(h.max_abs() <= 1.0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RffEncoder {
-    /// Row-major projection matrix, `dim` rows of `input_dim` weights.
-    weights: Vec<f32>,
-    phases: Vec<f32>,
-    input_dim: usize,
-    dim: usize,
+    core: ProjectionCore,
     bandwidth: f32,
-    /// Trig evaluation mode ([`TrigMode`] as a byte, atomic knob).
-    trig: AtomicU8,
-    /// §3.2 int8 copy of the projection matrix, backing
-    /// [`Encoder::encode_quantized_into`].
-    quant: QuantizedWeights,
-    /// Lane-major weight packing, built at the first batch encode under a
-    /// SIMD level so the per-call transpose cost disappears from the
-    /// serving path. It is never built while the active level is scalar,
-    /// so an encoder first used under `scalar` still packs once the
-    /// detected level is activated — the only SIMD level a process can run.
-    packed: OnceLock<Option<PackedProjection>>,
-}
-
-impl Clone for RffEncoder {
-    fn clone(&self) -> Self {
-        Self {
-            weights: self.weights.clone(),
-            phases: self.phases.clone(),
-            input_dim: self.input_dim,
-            dim: self.dim,
-            bandwidth: self.bandwidth,
-            trig: AtomicU8::new(self.trig.load(Ordering::Relaxed)),
-            quant: self.quant.clone(),
-            packed: OnceLock::new(),
-        }
-    }
+    trig: TrigKnob,
 }
 
 impl RffEncoder {
@@ -76,26 +41,14 @@ impl RffEncoder {
     ///
     /// Panics if `input_dim == 0`, `dim == 0`, or `bandwidth <= 0`.
     pub fn new(input_dim: usize, dim: usize, bandwidth: f32, seed: u64) -> Self {
-        assert!(input_dim > 0, "input_dim must be nonzero");
-        assert!(dim > 0, "dim must be nonzero");
         assert!(bandwidth > 0.0, "bandwidth must be positive");
-        let mut rng = HdRng::seed_from(seed);
-        let weights: Vec<f32> = (0..dim * input_dim)
-            .map(|_| (rng.next_gaussian() as f32) / bandwidth)
-            .collect();
-        let phases = (0..dim)
-            .map(|_| (rng.next_f64() * std::f64::consts::TAU) as f32)
-            .collect();
-        let quant = QuantizedWeights::from_f32(&weights, input_dim, dim);
+        let kind = Kind::Rff {
+            bandwidth_bits: bandwidth.to_bits(),
+        };
         Self {
-            weights,
-            phases,
-            input_dim,
-            dim,
+            core: ProjectionCore::new(kind, input_dim, dim, seed),
             bandwidth,
-            trig: AtomicU8::new(TrigMode::Exact.as_u8()),
-            quant,
-            packed: OnceLock::new(),
+            trig: TrigKnob::default(),
         }
     }
 
@@ -104,107 +57,58 @@ impl RffEncoder {
         self.bandwidth
     }
 
-    /// The SIMD weight packing for the active dispatch level, or `None`
-    /// when the active level is scalar.
-    fn packed_for_active(&self) -> Option<&PackedProjection> {
-        let level = hdc::simd::active();
-        if level == SimdLevel::Scalar {
-            return None;
+    /// The RFF post-op over the projected values `p`: `cos(p + b)`, through
+    /// `libm` or the fast polynomial.
+    fn post(&self, mode: TrigMode, vals: &mut [f32]) {
+        let phases = self.core.phases();
+        match mode {
+            TrigMode::Exact => {
+                for (v, &b) in vals.iter_mut().zip(phases) {
+                    *v = (*v + b).cos();
+                }
+            }
+            // Bit-identical to the scalar `fast_cos(p + b)` at every
+            // dispatch level.
+            TrigMode::Fast => hdc::simd::cos_phase_post_fast(vals, phases),
         }
-        self.packed
-            .get_or_init(|| {
-                PackedProjection::for_level(level, &self.weights, self.input_dim, self.dim)
-            })
-            .as_ref()
-            .filter(|p| p.level() == level)
     }
 }
 
 impl Encoder for RffEncoder {
     fn input_dim(&self) -> usize {
-        self.input_dim
+        self.core.input_dim()
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.core.dim()
     }
 
     fn encode(&self, features: &[f32]) -> RealHv {
-        assert_eq!(
-            features.len(),
-            self.input_dim,
-            "encode: expected {} features, got {}",
-            self.input_dim,
-            features.len()
-        );
-        let fast = self.trig_mode() == TrigMode::Fast;
-        let mut out = Vec::with_capacity(self.dim);
-        for d in 0..self.dim {
-            let row = &self.weights[d * self.input_dim..(d + 1) * self.input_dim];
-            let proj: f32 = row.iter().zip(features).map(|(&w, &f)| w * f).sum();
-            out.push(if fast {
-                fast_cos(proj + self.phases[d])
-            } else {
-                (proj + self.phases[d]).cos()
-            });
-        }
-        RealHv::from_vec(out)
+        let mode = self.trig_mode();
+        self.core.encode(features, |v| self.post(mode, v))
     }
 
     fn encode_batch_into(&self, rows: &[Vec<f32>], out: &mut [RealHv], threads: usize) {
-        let threads = hdc::par::resolve_threads(threads);
         let mode = self.trig_mode();
-        hdc::par::chunked_zip_mut(rows, out, threads, |part, out_part| {
-            let row_refs: Vec<&[f32]> = part.iter().map(Vec::as_slice).collect();
-            match self.packed_for_active() {
-                Some(packed) => packed.project_into(&row_refs, out_part),
-                None => {
-                    project_blocked(&self.weights, self.input_dim, self.dim, &row_refs, out_part)
-                }
-            }
-            // Same post-op expression as the scalar `encode` loop, so the
-            // blocked path stays bit-identical to it (the fast arm's SIMD
-            // lanes are bit-identical to scalar `fast_cos` by construction).
-            for hv in out_part.iter_mut() {
-                match mode {
-                    TrigMode::Exact => {
-                        for (v, &b) in hv.as_mut_slice().iter_mut().zip(&self.phases) {
-                            *v = (*v + b).cos();
-                        }
-                    }
-                    TrigMode::Fast => {
-                        hdc::simd::cos_phase_post_fast(hv.as_mut_slice(), &self.phases);
-                    }
-                }
-            }
-        });
+        self.core
+            .encode_batch_into(rows, out, threads, |v| self.post(mode, v));
     }
 
     fn encode_quantized_into(&self, features: &[f32], out: &mut [f32]) -> bool {
-        assert_eq!(
-            features.len(),
-            self.input_dim,
-            "encode: expected {} features, got {}",
-            self.input_dim,
-            features.len()
-        );
-        assert_eq!(out.len(), self.dim, "output width must match dim");
-        let mut row_q = Vec::with_capacity(self.input_dim);
-        let row_scale = quantize_i8(features, &mut row_q);
-        self.quant.project_row_into(&row_q, row_scale, out);
+        self.core.project_quantized_into(features, out);
         // Always the fast polynomial cos, whatever the encoder's TrigMode
         // knob says: the quantised tier is approximate by design, and it
         // shares the `TrigMode::Fast` post-op.
-        hdc::simd::cos_phase_post_fast(out, &self.phases);
+        self.post(TrigMode::Fast, out);
         true
     }
 
     fn trig_mode(&self) -> TrigMode {
-        TrigMode::from_u8(self.trig.load(Ordering::Relaxed))
+        self.trig.get()
     }
 
     fn set_trig_mode(&self, mode: TrigMode) {
-        self.trig.store(mode.as_u8(), Ordering::Relaxed);
+        self.trig.set(mode);
     }
 }
 
@@ -312,34 +216,6 @@ mod tests {
             }
         }
         enc.set_trig_mode(TrigMode::Exact);
-    }
-
-    #[test]
-    fn packing_first_touched_under_scalar_still_packs_at_the_detected_level() {
-        let detected = hdc::simd::detect();
-        if detected == SimdLevel::Scalar {
-            return; // no SIMD level on this CPU: nothing to pack
-        }
-        let _guard = crate::tests::SIMD_LEVEL_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let prev = hdc::simd::active();
-        let enc = RffEncoder::new(5, 77, 1.2, 0x5EED_0006);
-        let rows: Vec<Vec<f32>> = (0..3).map(|i| vec![0.1 * i as f32; 5]).collect();
-        let mut scalar = vec![RealHv::default(); rows.len()];
-        let mut packed = vec![RealHv::default(); rows.len()];
-        hdc::simd::set_level(SimdLevel::Scalar).unwrap();
-        enc.encode_batch_into(&rows, &mut scalar, 1);
-        hdc::simd::set_level(detected).unwrap();
-        enc.encode_batch_into(&rows, &mut packed, 1);
-        let level = enc.packed_for_active().map(PackedProjection::level);
-        hdc::simd::set_level(prev).unwrap();
-        assert_eq!(level, Some(detected));
-        let bits =
-            |hv: &RealHv| -> Vec<u32> { hv.as_slice().iter().map(|v| v.to_bits()).collect() };
-        for (s, p) in scalar.iter().zip(&packed) {
-            assert_eq!(bits(s), bits(p));
-        }
     }
 
     #[test]

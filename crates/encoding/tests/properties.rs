@@ -111,12 +111,4 @@ proptest! {
             prop_assert_eq!(enc.encode(&[v]), enc.encode(&[v2]));
         }
     }
-
-    #[test]
-    fn encode_both_consistency(x in input(4), seed in any::<u64>()) {
-        let enc = NonlinearEncoder::new(4, 128, seed);
-        let (real, binary) = enc.encode_both(&x);
-        prop_assert_eq!(real, enc.encode(&x));
-        prop_assert_eq!(binary, enc.encode_binary(&x));
-    }
 }

@@ -3,12 +3,16 @@
 //!
 //! # Blocked projection
 //!
-//! The RegHD encoders spend almost all of their time in a `D × n` matvec
-//! per row (`P = X·Wᵀ` over a batch). The scalar path walks one output
-//! dimension at a time with a single `f32` accumulator, which (a) re-streams
-//! the whole weight matrix from memory for every row and (b) serialises the
-//! adds into one latency-bound dependency chain. [`project_blocked`] fixes
-//! both without changing a single result bit:
+//! The projection encoders (Eq. 1, random Fourier features, the linear
+//! projection) are one `D × n` matvec per row (`P = X·Wᵀ` over a batch)
+//! followed by a per-component post-op, and this is their one matvec
+//! family: [`project_blocked`] is the portable reference, and
+//! [`crate::simd::PackedProjection`] runs the same arithmetic on SIMD lanes.
+//! A naive per-row loop walks one output dimension at a time with a single
+//! `f32` accumulator, which (a) re-streams the whole weight matrix from
+//! memory for every row and (b) serialises the adds into one latency-bound
+//! dependency chain. [`project_blocked`] fixes both without changing a
+//! single result bit:
 //!
 //! * **tiling** — output dimensions are processed in tiles of [`DIM_TILE`]
 //!   and rows in tiles of [`ROW_TILE`], so one weight tile is loaded once
@@ -19,15 +23,17 @@
 //!   instruction-level parallelism (and LLVM a clean autovectorisation
 //!   target) where the scalar loop had a single serial add chain.
 //!
-//! **Bit-exactness.** Every accumulator still sums its `k` (feature) terms
-//! in ascending order, starting from `0.0f32`, exactly like the scalar
-//! loop's `iter().zip().map(|(&w, &f)| w * f).sum::<f32>()`. The unroll
-//! only interleaves *independent* accumulators (different rows / output
-//! dims); it never re-associates the reduction over `k`, and Rust never
-//! contracts `mul + add` into a fused-multiply-add. So the kernel output is
-//! bit-identical to the scalar path for every tile size, batch size, and
-//! row/dim remainder — which is what lets the row-parallel equivalence
-//! guarantees of `hdc::par` carry over unchanged.
+//! **Bit-exactness.** Every accumulator sums its `k` (feature) terms in
+//! ascending order, starting from `+0.0f32`: the per-row fold
+//! `acc = acc + w[k]·x[k]`. The unroll only interleaves *independent*
+//! accumulators (different rows / output dims); it never re-associates the
+//! reduction over `k`, and Rust never contracts `mul + add` into a
+//! fused-multiply-add. So the kernel output is bit-identical to that fold
+//! for every tile size, batch size, and row/dim remainder — which is what
+//! lets the row-parallel equivalence guarantees of `hdc::par` carry over
+//! unchanged. The `+0.0` start matters on rows whose products are all
+//! signed zeros: `Iterator::sum::<f32>` may start from `-0.0` and then
+//! returns `-0.0` where the fold returns `+0.0`.
 //!
 //! # Fast trigonometry
 //!
@@ -40,7 +46,6 @@
 //! and anything that must replay bit-exactly (training, canary replay)
 //! always runs `Exact`.
 
-use crate::bipolar::BipolarHv;
 use crate::dense::RealHv;
 
 /// Rows processed together in one tile: each weight value loaded in the
@@ -171,12 +176,12 @@ pub fn fast_cos(x: f32) -> f32 {
 
 /// Cache-blocked batch projection `outs[r][d] = Σ_k rows[r][k] ·
 /// weights[d·n + k]` for a **row-major** `dim × input_dim` weight matrix
-/// (the `NonlinearEncoder`/`RffEncoder` layout).
+/// (the layout every projection encoder shares).
 ///
 /// Each output vector in `outs` is reset to `dim` zeros (reusing its
 /// allocation) and then fully overwritten. Results are bit-identical to the
-/// scalar per-row loop — see the module docs for why the tiling cannot
-/// change the reduction order.
+/// per-row ascending-`k` fold from `+0.0` — see the module docs for why the
+/// tiling cannot change the reduction order.
 ///
 /// This is the portable scalar reference: the SIMD levels run the same
 /// matvec through a pre-packed [`crate::simd::PackedProjection`], which
@@ -319,110 +324,23 @@ fn project_tile1(weights: &[f32], n: usize, dlo: usize, dhi: usize, x: &[f32], o
     }
 }
 
-/// Cache-blocked batch projection for the **transposed** bipolar layout of
-/// `ProjectionEncoder`: `outs[r][d] = Σ_k rows[r][k] · bases[k][d]` with one
-/// base hypervector per input feature.
-///
-/// `k` stays the outer loop (matching the scalar path, so every `(row, d)`
-/// accumulator sums in ascending `k` order from `0.0`), dims are tiled so
-/// the row tile's output sections stay in L1 across the whole `k` sweep,
-/// and each base row's `i8 → f32` conversion is shared by [`ROW_TILE`] rows
-/// instead of being redone per row.
-///
-/// # Panics
-///
-/// Panics when `rows` and `outs` disagree in length, a row is not
-/// `bases.len()` wide, or a base hypervector is not `dim` wide.
-pub fn project_bipolar_blocked(
-    bases: &[BipolarHv],
-    dim: usize,
-    rows: &[&[f32]],
-    outs: &mut [RealHv],
-) {
-    assert_eq!(rows.len(), outs.len(), "rows/outs length mismatch");
-    for row in rows {
-        assert_eq!(row.len(), bases.len(), "row width must match bases.len()");
-    }
-    for base in bases {
-        assert_eq!(base.dim(), dim, "base hypervector width must match dim");
-    }
-    for out in outs.iter_mut() {
-        out.reset(dim);
-    }
-    if crate::simd::project_bipolar_simd(bases, dim, rows, outs) {
-        return;
-    }
-    let n = bases.len();
-    let mut d0 = 0;
-    while d0 < dim {
-        let d1 = (d0 + DIM_TILE).min(dim);
-        for (row_tile, out_tile) in rows.chunks(ROW_TILE).zip(outs.chunks_mut(ROW_TILE)) {
-            match (row_tile, &mut *out_tile) {
-                ([x0, x1, x2, x3], [o0, o1, o2, o3]) => {
-                    let (t0, t1) = (
-                        &mut o0.as_mut_slice()[d0..d1],
-                        &mut o1.as_mut_slice()[d0..d1],
-                    );
-                    let (t2, t3) = (
-                        &mut o2.as_mut_slice()[d0..d1],
-                        &mut o3.as_mut_slice()[d0..d1],
-                    );
-                    for k in 0..n {
-                        let base = &bases[k].as_slice()[d0..d1];
-                        let (f0, f1, f2, f3) = (x0[k], x1[k], x2[k], x3[k]);
-                        for (j, &b) in base.iter().enumerate() {
-                            let bf = f32::from(b);
-                            t0[j] += f0 * bf;
-                            t1[j] += f1 * bf;
-                            t2[j] += f2 * bf;
-                            t3[j] += f3 * bf;
-                        }
-                    }
-                }
-                _ => {
-                    for (x, o) in row_tile.iter().zip(out_tile.iter_mut()) {
-                        let t = &mut o.as_mut_slice()[d0..d1];
-                        for k in 0..n {
-                            let base = &bases[k].as_slice()[d0..d1];
-                            let f = x[k];
-                            for (j, &b) in base.iter().enumerate() {
-                                t[j] += f * f32::from(b);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        d0 = d1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::HdRng;
 
-    /// The scalar reference: exactly the per-row loop the encoders use.
+    /// The scalar reference: one ascending-`k` fold per output dim from
+    /// `+0.0`. (`Iterator::sum::<f32>` is not this reference: it may start
+    /// from `-0.0`, which changes the sign of an all-zero-product sum.)
     fn scalar_project(weights: &[f32], n: usize, dim: usize, row: &[f32]) -> Vec<f32> {
         (0..dim)
             .map(|d| {
                 weights[d * n..(d + 1) * n]
                     .iter()
                     .zip(row)
-                    .map(|(&w, &f)| w * f)
-                    .sum::<f32>()
+                    .fold(0.0f32, |acc, (&w, &f)| acc + w * f)
             })
             .collect()
-    }
-
-    fn scalar_project_bipolar(bases: &[BipolarHv], dim: usize, row: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; dim];
-        for (k, &f) in row.iter().enumerate() {
-            for (o, &b) in out.iter_mut().zip(bases[k].as_slice()) {
-                *o += f * f32::from(b);
-            }
-        }
-        out
     }
 
     fn gaussian(len: usize, rng: &mut HdRng) -> Vec<f32> {
@@ -466,26 +384,6 @@ mod tests {
         for (out, ptr) in outs.iter().zip(ptrs) {
             assert_eq!(out.as_slice().as_ptr(), ptr, "allocation must be reused");
             assert!(out.as_slice().iter().all(|v| *v != 99.0));
-        }
-    }
-
-    #[test]
-    fn blocked_bipolar_projection_is_bit_identical_to_scalar() {
-        let mut rng = HdRng::seed_from(23);
-        for &(n, dim) in &[(1usize, 1usize), (4, 127), (6, 129), (9, 131)] {
-            let bases: Vec<BipolarHv> = (0..n).map(|_| BipolarHv::random(dim, &mut rng)).collect();
-            for &batch in &[1usize, 3, 4, 5, 9] {
-                let rows: Vec<Vec<f32>> = (0..batch).map(|_| gaussian(n, &mut rng)).collect();
-                let row_refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-                let mut outs = vec![RealHv::default(); batch];
-                project_bipolar_blocked(&bases, dim, &row_refs, &mut outs);
-                for (row, out) in rows.iter().zip(&outs) {
-                    let want = scalar_project_bipolar(&bases, dim, row);
-                    let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                    let got_bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got_bits, want_bits, "n={n} dim={dim} batch={batch}");
-                }
-            }
         }
     }
 

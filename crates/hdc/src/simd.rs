@@ -24,7 +24,7 @@
 //! reduction stays a scalar-ordered loop, and multiplies and adds are
 //! issued as separate (non-fused) instructions. Per lane this is exactly
 //! the scalar sequence `acc = (acc + x[k]·w[k])` in ascending `k` from
-//! `0.0f32`, so the result is bit-identical to the scalar reference
+//! `+0.0f32`, so the result is bit-identical to the scalar reference
 //! [`crate::kernels::project_blocked`] — the property the repo-wide
 //! equivalence suite asserts.
 //!
@@ -54,9 +54,8 @@
 //!   [`PackedProjection::for_level`] builds no packing for one. So the
 //!   `Avx2` arm is reached only when [`detect`] found AVX2 and `popcnt`,
 //!   and the `Neon` arm only on aarch64, where NEON is mandatory.
-//! * **The shapes hold.** Each entry point asserts (or its caller in
-//!   [`crate::kernels`] asserts) the slice lengths the kernel's `# Safety`
-//!   section names before it dispatches.
+//! * **The shapes hold.** Each entry point asserts the slice lengths the
+//!   kernel's `# Safety` section names before it dispatches.
 
 #![allow(unsafe_code)]
 #![warn(clippy::undocumented_unsafe_blocks)]
@@ -296,41 +295,6 @@ impl PackedProjection {
             },
             _ => unreachable!("PackedProjection is only built for SIMD levels"),
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatched kernel entry points (called from `crate::kernels` after shape
-// validation and output reset).
-// ---------------------------------------------------------------------------
-
-/// SIMD transposed-bipolar projection (`outs[r][d] += rows[r][k] ·
-/// bases[k][d]`, `k` outer). Caller has validated shapes and reset outputs.
-/// Returns `false` when the active level is scalar.
-pub(crate) fn project_bipolar_simd(
-    bases: &[crate::bipolar::BipolarHv],
-    dim: usize,
-    rows: &[&[f32]],
-    outs: &mut [RealHv],
-) -> bool {
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
-            // SAFETY: the active level is runnable (module docs), and
-            // `kernels::project_bipolar_blocked` validated the shapes and
-            // reset the outputs before dispatching here.
-            unsafe { avx2::project_bipolar(bases, dim, rows, outs) };
-            true
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => {
-            // SAFETY: NEON is mandatory on aarch64, and
-            // `kernels::project_bipolar_blocked` validated the shapes and
-            // reset the outputs before dispatching here.
-            unsafe { neon::project_bipolar(bases, dim, rows, outs) };
-            true
-        }
-        _ => false,
     }
 }
 
@@ -616,7 +580,6 @@ pub fn hamming_words(a: &[u64], b: &[u64]) -> usize {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::RealHv;
-    use crate::bipolar::BipolarHv;
     use core::arch::x86_64::*;
 
     /// Lane-major projection of one 8-dim group for every row: each lane is
@@ -684,57 +647,6 @@ mod avx2 {
         }
         if full < dim {
             project_rem(rem, n, full, dim - full, rows, outs);
-        }
-    }
-
-    /// Transposed-bipolar projection: `k` outer (scalar-ordered), 8 dims per
-    /// SIMD group with the exact `i8 → f32` conversion shared across a
-    /// 4-row tile, accumulators held in registers across the whole `k`
-    /// sweep.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 and validated shapes (bases `dim` wide, rows
-    /// `bases.len()` wide, outs reset to `dim`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn project_bipolar(
-        bases: &[BipolarHv],
-        dim: usize,
-        rows: &[&[f32]],
-        outs: &mut [RealHv],
-    ) {
-        let mut d = 0;
-        while d + 8 <= dim {
-            let mut r = 0;
-            while r < rows.len() {
-                let tile = (rows.len() - r).min(4);
-                let mut acc = [_mm256_setzero_ps(); 4];
-                for (k, base) in bases.iter().enumerate() {
-                    let ptr = base.as_slice().as_ptr().add(d) as *const __m128i;
-                    let b8 = _mm_loadl_epi64(ptr);
-                    let bf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b8));
-                    for (t, a) in acc.iter_mut().enumerate().take(tile) {
-                        let f = _mm256_set1_ps(rows[r + t][k]);
-                        *a = _mm256_add_ps(*a, _mm256_mul_ps(f, bf));
-                    }
-                }
-                for (t, a) in acc.iter().enumerate().take(tile) {
-                    _mm256_storeu_ps(outs[r + t].as_mut_slice().as_mut_ptr().add(d), *a);
-                }
-                r += tile;
-            }
-            d += 8;
-        }
-        // Remainder dims: scalar, same per-(row, d) ascending-k order.
-        while d < dim {
-            for (x, o) in rows.iter().zip(outs.iter_mut()) {
-                let mut a = 0.0f32;
-                for (k, base) in bases.iter().enumerate() {
-                    a += x[k] * f32::from(base.as_slice()[d]);
-                }
-                o.as_mut_slice()[d] = a;
-            }
-            d += 1;
         }
     }
 
@@ -1087,7 +999,6 @@ mod avx2 {
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use super::RealHv;
-    use crate::bipolar::BipolarHv;
     use core::arch::aarch64::*;
 
     /// # Safety
@@ -1143,56 +1054,6 @@ mod neon {
         }
         if full < dim {
             project_rem(rem, n, full, dim - full, rows, outs);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Validated shapes (bases `dim` wide, rows `bases.len()` wide, outs
-    /// reset to `dim`).
-    pub(super) unsafe fn project_bipolar(
-        bases: &[BipolarHv],
-        dim: usize,
-        rows: &[&[f32]],
-        outs: &mut [RealHv],
-    ) {
-        let n = bases.len();
-        let mut d = 0;
-        while d + 8 <= dim {
-            let mut r = 0;
-            while r < rows.len() {
-                let tile = (rows.len() - r).min(4);
-                let mut acc_lo = [vdupq_n_f32(0.0); 4];
-                let mut acc_hi = [vdupq_n_f32(0.0); 4];
-                for (k, base) in bases.iter().enumerate() {
-                    let b8 = vld1_s8(base.as_slice().as_ptr().add(d));
-                    let b16 = vmovl_s8(b8);
-                    let lo = vcvtq_f32_s32(vmovl_s16(vget_low_s16(b16)));
-                    let hi = vcvtq_f32_s32(vmovl_s16(vget_high_s16(b16)));
-                    for t in 0..tile {
-                        let f = vdupq_n_f32(rows[r + t][k]);
-                        acc_lo[t] = vaddq_f32(acc_lo[t], vmulq_f32(f, lo));
-                        acc_hi[t] = vaddq_f32(acc_hi[t], vmulq_f32(f, hi));
-                    }
-                }
-                for t in 0..tile {
-                    let ptr = outs[r + t].as_mut_slice().as_mut_ptr().add(d);
-                    vst1q_f32(ptr, acc_lo[t]);
-                    vst1q_f32(ptr.add(4), acc_hi[t]);
-                }
-                r += tile;
-            }
-            d += 8;
-        }
-        while d < dim {
-            for (x, o) in rows.iter().zip(outs.iter_mut()) {
-                let mut a = 0.0f32;
-                for (k, base) in bases.iter().enumerate() {
-                    a += x[k] * f32::from(base.as_slice()[d]);
-                }
-                o.as_mut_slice()[d] = a;
-            }
-            d += 1;
         }
     }
 
@@ -1379,9 +1240,8 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{fast_cos, fast_sin, project_bipolar_blocked, project_blocked};
+    use crate::kernels::{fast_cos, fast_sin, project_blocked};
     use crate::rng::HdRng;
-    use crate::BipolarHv;
 
     fn gaussian(len: usize, rng: &mut HdRng) -> Vec<f32> {
         (0..len).map(|_| rng.next_gaussian() as f32).collect()
@@ -1473,33 +1333,6 @@ mod tests {
     #[test]
     fn packed_projection_matches_blocked() {
         assert_packed_matches_blocked(43, &[(4, 61), (6, 128), (9, 263)], &[5]);
-    }
-
-    #[test]
-    fn simd_bipolar_projection_bit_identical_across_levels() {
-        let mut rng = HdRng::seed_from(47);
-        for &(n, dim) in &[(1usize, 7usize), (4, 127), (6, 131), (9, 257)] {
-            let bases: Vec<BipolarHv> = (0..n).map(|_| BipolarHv::random(dim, &mut rng)).collect();
-            for &batch in &[1usize, 4, 7] {
-                let rows: Vec<Vec<f32>> = (0..batch).map(|_| gaussian(n, &mut rng)).collect();
-                let row_refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-                let mut reference: Option<Vec<Vec<u32>>> = None;
-                with_levels(|level| {
-                    let mut outs = vec![RealHv::default(); batch];
-                    project_bipolar_blocked(&bases, dim, &row_refs, &mut outs);
-                    let bits: Vec<Vec<u32>> = outs
-                        .iter()
-                        .map(|o| o.as_slice().iter().map(|v| v.to_bits()).collect())
-                        .collect();
-                    match &reference {
-                        None => reference = Some(bits),
-                        Some(want) => {
-                            assert_eq!(&bits, want, "level {level:?} n={n} dim={dim} batch={batch}")
-                        }
-                    }
-                });
-            }
-        }
     }
 
     #[test]

@@ -11,10 +11,25 @@
 //!
 //! This module only compiles on Linux x86_64/aarch64; the crate's public
 //! entry points return an `Unsupported` error elsewhere.
+//!
+//! Every `unsafe` block issues one syscall through `syscall6` (or reads
+//! back what `epoll_pwait` wrote) and states why its pointer arguments are
+//! valid for the kernel's access. The fds the calls name are owned by the
+//! wrapper that issues them and are closed only in its `Drop`.
 #![allow(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 use std::io;
 
+/// Issues raw syscall `nr` with six arguments and returns the kernel's
+/// result (`-errno` on failure).
+///
+/// # Safety
+///
+/// Every pointer argument must be valid for the access syscall `nr` makes
+/// through it (reads or writes of the length it is given) for the duration
+/// of the call, and the call must not close, remap or otherwise invalidate
+/// an fd or memory that other code still relies on.
 #[cfg(target_arch = "x86_64")]
 unsafe fn syscall6(nr: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f: usize) -> isize {
     let ret: isize;
@@ -34,6 +49,12 @@ unsafe fn syscall6(nr: usize, a: usize, b: usize, c: usize, d: usize, e: usize, 
     ret
 }
 
+/// The aarch64 form of the x86_64 `syscall6`.
+///
+/// # Safety
+///
+/// As for the x86_64 form: pointer arguments valid for the syscall's
+/// access, and no fd or memory other code relies on invalidated.
 #[cfg(target_arch = "aarch64")]
 unsafe fn syscall6(nr: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f: usize) -> isize {
     let ret: isize;
@@ -145,14 +166,18 @@ impl Epoll {
     /// Creates an epoll instance sized to decode up to `capacity` events
     /// per [`Epoll::wait`] call.
     pub fn new(capacity: usize) -> io::Result<Self> {
+        // SAFETY: epoll_create1 takes no pointer; the new fd is owned by
+        // the returned `Epoll`.
         let fd = check(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) })?;
-        let capacity = capacity.max(1);
-        // Over-allocate the raw buffer: RawEvent is at most 16 bytes.
-        let words = capacity * 2 + 2;
+        let decoded = Vec::with_capacity(capacity.max(1));
+        // `wait` asks the kernel for up to `decoded.capacity()` events (which
+        // may exceed the requested capacity) and `raw` must hold that many:
+        // RawEvent is at most 16 bytes, two words, plus slack.
+        let words = decoded.capacity() * 2 + 2;
         Ok(Self {
             fd: fd as i32,
             raw: vec![0u64; words],
-            decoded: Vec::with_capacity(capacity),
+            decoded,
         })
     }
 
@@ -166,6 +191,9 @@ impl Epoll {
         } else {
             std::ptr::addr_of!(ev) as usize
         };
+        // SAFETY: `ptr` is null for EPOLL_CTL_DEL, which ignores the event,
+        // and otherwise points at `ev`, a live `RawEvent` in the kernel's
+        // `epoll_event` layout that epoll_ctl only reads during the call.
         check(unsafe { syscall6(nr::EPOLL_CTL, self.fd as usize, op, fd as usize, ptr, 0, 0) })?;
         Ok(())
     }
@@ -188,9 +216,15 @@ impl Epoll {
     /// Blocks for up to `timeout_ms` (`-1`: forever) and returns the ready
     /// events. An interrupting signal yields an empty slice.
     pub fn wait(&mut self, timeout_ms: i32) -> io::Result<&[Event]> {
+        // `decoded` never grows past its capacity (at most `max` pushes per
+        // call after a `clear`), so `max` is the capacity `new` sized `raw`
+        // for.
         let max = self.decoded.capacity();
         // `epoll_pwait` with a null sigmask behaves exactly like
         // `epoll_wait`; aarch64 only provides the former.
+        // SAFETY: `raw` holds `2·max + 2` u64s, room for `max` RawEvents of
+        // at most 16 bytes each, and the kernel writes at most `max` events
+        // into it; the sigmask pointer is null, so nothing else is read.
         let n = match check(unsafe {
             syscall6(
                 nr::EPOLL_PWAIT,
@@ -209,8 +243,10 @@ impl Epoll {
         self.decoded.clear();
         let base = self.raw.as_ptr() as *const RawEvent;
         for i in 0..n.min(max) {
-            // In-bounds: the kernel wrote `n <= max` events into `raw`,
-            // whose allocation covers `max` RawEvents.
+            // SAFETY: in bounds and initialised: the kernel wrote `n <= max`
+            // events into `raw`, whose allocation covers `max` RawEvents.
+            // Unaligned, because `raw`'s u64 alignment need not match the
+            // packed x86_64 layout.
             let ev = unsafe { std::ptr::read_unaligned(base.add(i)) };
             let bits = ev.events;
             self.decoded.push(Event {
@@ -226,6 +262,8 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
+        // SAFETY: close takes no pointer, and `self.fd` is owned by this
+        // `Epoll`, which never uses it again.
         unsafe {
             let _ = syscall6(nr::CLOSE, self.fd as usize, 0, 0, 0, 0, 0);
         }
@@ -244,15 +282,12 @@ pub struct WakePipe {
     write_fd: i32,
 }
 
-// Both fds are used through &self with kernel-atomic read/write; the
-// struct owns them until Drop.
-unsafe impl Send for WakePipe {}
-unsafe impl Sync for WakePipe {}
-
 impl WakePipe {
     /// Creates the pipe with both ends non-blocking.
     pub fn new() -> io::Result<Self> {
         let mut fds = [0i32; 2];
+        // SAFETY: `fds` is a live `[i32; 2]`, the two ints pipe2 writes;
+        // the new fds are owned by the returned pipe.
         check(unsafe {
             syscall6(
                 nr::PIPE2,
@@ -280,6 +315,8 @@ impl WakePipe {
     pub fn wake(&self) {
         let byte = [1u8];
         loop {
+            // SAFETY: `byte` is a live 1-byte buffer that write only reads,
+            // and `write_fd` is owned by this pipe.
             let ret = unsafe {
                 syscall6(
                     nr::WRITE,
@@ -302,6 +339,8 @@ impl WakePipe {
     pub fn drain(&self) {
         let mut buf = [0u8; 256];
         loop {
+            // SAFETY: read writes at most `buf.len()` bytes into the live
+            // `buf`, and `read_fd` is owned by this pipe.
             let ret = unsafe {
                 syscall6(
                     nr::READ,
@@ -326,6 +365,8 @@ impl WakePipe {
 
 impl Drop for WakePipe {
     fn drop(&mut self) {
+        // SAFETY: close takes no pointer, and both fds are owned by this
+        // pipe, which never uses them again.
         unsafe {
             let _ = syscall6(nr::CLOSE, self.read_fd as usize, 0, 0, 0, 0, 0);
             let _ = syscall6(nr::CLOSE, self.write_fd as usize, 0, 0, 0, 0, 0);

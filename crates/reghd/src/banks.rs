@@ -395,15 +395,6 @@ impl EncodedQuery {
         let amp = amplitude(&real);
         Self { real, binary, amp }
     }
-
-    /// Builds the bundle from a real encoding and a binary form produced
-    /// alongside it (the fused `Encoder::encode_both` path). The caller
-    /// guarantees `binary` is the sign-binarisation of `real`; only the
-    /// amplitude is computed here.
-    pub fn from_parts(real: RealHv, binary: BinaryHv) -> Self {
-        let amp = amplitude(&real);
-        Self { real, binary, amp }
-    }
 }
 
 #[cfg(test)]

@@ -9,14 +9,14 @@
 //! pass — the paper's "single-pass model" of §2.3, whose accuracy gap to
 //! iterative training is part of Figure 3a's story.
 //!
-//! The learner is a [`RegHdRegressor`] — the same banks, forward pass and
-//! per-sample Eq. 7/8 step the batch trainer runs — plus the stream
-//! statistics. Differences from the batch trainer: encodings cannot be
+//! The learner is a [`RegHdRegressor`] — the same query encoding, banks,
+//! forward pass and per-sample Eq. 7/8 step the batch trainer runs — plus
+//! the stream statistics. Differences from the batch trainer: encodings cannot be
 //! mean-centred (the mean is unknown upfront), so the encoder bias is
 //! absorbed by the always-on intercept, and there is no convergence rule —
 //! the stream decides when to stop.
 
-use crate::banks::{ClusterBank, EncodedQuery, ModelBank};
+use crate::banks::{ClusterBank, ModelBank};
 use crate::config::RegHdConfig;
 use crate::model::{PredictScratch, RegHdRegressor};
 use crate::traits::{FitReport, Regressor};
@@ -179,21 +179,6 @@ impl OnlineRegHd {
         self.ewma_sq_err
     }
 
-    fn encode(&self, x: &[f32]) -> EncodedQuery {
-        // Fused single-pass encoding (§3.1: quantised training keeps an
-        // integer and a binary copy of every encoded point). Sound here
-        // because this trainer never centres encodings (`new` forces
-        // `center_encodings = false`) and `normalize` only scales by a
-        // positive factor, which cannot flip the sign of any component —
-        // so the pre-normalisation binary view equals the
-        // post-normalisation one that `EncodedQuery::new` would derive.
-        let (mut s, binary) = self.model.encoder().encode_both(x);
-        if self.config().normalize_encodings {
-            s.normalize();
-        }
-        EncodedQuery::from_parts(s, binary)
-    }
-
     /// Consumes one sample: predicts, measures the prequential error,
     /// applies the RegHD updates (Eq. 7/8), and returns `y − ŷ`.
     ///
@@ -201,7 +186,7 @@ impl OnlineRegHd {
     ///
     /// Panics if `x` has the wrong feature width.
     pub fn update(&mut self, x: &[f32], y: f32) -> f32 {
-        let q = self.encode(x);
+        let q = self.model.encode(x);
         let (err, l) = self.model.step(&q, y, &mut self.scratch);
         if let Some(l) = l {
             let b = CLUSTER_ERR_ALPHA;
@@ -309,8 +294,7 @@ impl Regressor for OnlineRegHd {
     }
 
     fn predict_one(&self, x: &[f32]) -> f32 {
-        self.model
-            .forward(&self.encode(x), &mut PredictScratch::default())
+        self.model.predict_one(x)
     }
 
     fn name(&self) -> String {

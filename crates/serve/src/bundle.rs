@@ -616,7 +616,7 @@ impl ModelBundle {
         }
         match read_u16(&mut r)? {
             1 => Self::read_v1(&mut r),
-            2 => Self::read_v2(&mut r),
+            2 => Self::read_v2(bytes),
             v => Err(format!("unsupported bundle version {v}")),
         }
     }
@@ -637,23 +637,13 @@ impl ModelBundle {
         )
     }
 
-    fn read_v2(r: &mut &[u8]) -> Result<Self, String> {
-        let scalers = read_section(r, "scalers")?;
-        let canary = read_section(r, "canary")?;
-        let blob = read_section(r, "model")?;
-        if !r.is_empty() {
-            return Err(format!("{} trailing bytes after model section", r.len()));
-        }
-
-        let mut s: &[u8] = &scalers;
-        let (feat_means, feat_stds, target_mean, target_std) = read_scalers(&mut s)?;
-        if !s.is_empty() {
-            return Err("trailing bytes in scalers section".to_string());
-        }
-
-        let (canary_rows, canary_preds) = decode_canary_payload(&canary, feat_means.len())?;
-
-        let mut b: &[u8] = &blob;
+    /// Checksummed layout: every section is verified before any is decoded.
+    fn read_v2(bytes: &[u8]) -> Result<Self, String> {
+        let frames = SectionFrames::parse(bytes)?;
+        let (scalers, canary, blob) = (frames.scalers()?, frames.canary()?, frames.model()?);
+        let (feat_means, feat_stds, target_mean, target_std) = decode_scalers_payload(scalers)?;
+        let (canary_rows, canary_preds) = decode_canary_payload(canary, feat_means.len())?;
+        let mut b: &[u8] = blob;
         let model = persist::load(&mut b).map_err(|e| e.to_string())?;
         Self::assemble(
             model,
@@ -687,11 +677,8 @@ impl ModelBundle {
             return Self::read_v1(&mut r);
         }
         let frames = SectionFrames::parse(bytes)?;
-        let mut s: &[u8] = frames.scalers()?;
-        let (feat_means, feat_stds, target_mean, target_std) = read_scalers(&mut s)?;
-        if !s.is_empty() {
-            return Err("trailing bytes in scalers section".to_string());
-        }
+        let (feat_means, feat_stds, target_mean, target_std) =
+            decode_scalers_payload(frames.scalers()?)?;
         let mut b: &[u8] = frames.model()?;
         let model = persist::load(&mut b).map_err(|e| e.to_string())?;
         Self::assemble(
@@ -799,6 +786,16 @@ fn read_scalers(r: &mut &[u8]) -> Result<(Vec<f32>, Vec<f32>, f32, f32), String>
     let target_mean = read_f32(r)?;
     let target_std = read_f32(r)?;
     Ok((feat_means, feat_stds, target_mean, target_std))
+}
+
+/// The v2 scalers-section payload: the scaler block and nothing after it.
+fn decode_scalers_payload(payload: &[u8]) -> Result<(Vec<f32>, Vec<f32>, f32, f32), String> {
+    let mut s: &[u8] = payload;
+    let scalers = read_scalers(&mut s)?;
+    if !s.is_empty() {
+        return Err("trailing bytes in scalers section".to_string());
+    }
+    Ok(scalers)
 }
 
 /// Shared canary-section payload layout (`rows:u64 | rows×n f32 | rows
@@ -923,10 +920,12 @@ impl<'a> SectionFrames<'a> {
 
 /// Locates one `len | payload | crc` frame without computing the checksum.
 fn locate_frame<'a>(r: &mut &'a [u8], name: &str) -> Result<Frame<'a>, String> {
-    let len = read_u64(r)? as usize;
-    if r.len() < len + 4 {
+    let len = read_u64(r)?;
+    // Compared in u64 so a hostile length cannot overflow `len + 4`.
+    if (r.len() as u64) < len.saturating_add(4) {
         return Err(format!("truncated bundle ({name} section)"));
     }
+    let len = len as usize;
     let payload = &r[..len];
     *r = &r[len..];
     let mut cb = [0u8; 4];
@@ -941,26 +940,6 @@ fn write_section(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     buf.extend_from_slice(payload);
     buf.extend_from_slice(&crc32(payload).to_le_bytes());
-}
-
-/// Reads one `len | payload | crc` section, verifying the checksum.
-fn read_section(r: &mut &[u8], name: &str) -> Result<Vec<u8>, String> {
-    let len = read_u64(r)? as usize;
-    if r.len() < len + 4 {
-        return Err(format!("truncated bundle ({name} section)"));
-    }
-    let payload = r[..len].to_vec();
-    *r = &r[len..];
-    let mut cb = [0u8; 4];
-    read_exact(r, &mut cb)?;
-    let stored = u32::from_le_bytes(cb);
-    let computed = crc32(&payload);
-    if stored != computed {
-        return Err(format!(
-            "checksum mismatch in {name} section (stored {stored:08x}, computed {computed:08x})"
-        ));
-    }
-    Ok(payload)
 }
 
 fn read_exact(r: &mut &[u8], buf: &mut [u8]) -> Result<(), String> {
@@ -1089,6 +1068,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finalize()
+}
+
+/// 64-bit FNV-1a of `bytes` — a bundle's artefact identity hash. The
+/// registry's `list` output and the model store's index both report it,
+/// so they must hash with this one function.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
 }
 
 #[cfg(test)]
@@ -1231,6 +1222,13 @@ mod tests {
             let mut b = bytes.clone();
             corrupt_bytes(&mut b, ByteFault::Truncate, &mut rng);
             assert!(ModelBundle::from_bytes(&b).is_err());
+        }
+        // A section length near u64::MAX must not overflow the bounds check.
+        for len in [u64::MAX, u64::MAX - 3] {
+            let mut b = bytes.clone();
+            b[6..14].copy_from_slice(&len.to_le_bytes());
+            assert!(ModelBundle::from_bytes(&b).is_err());
+            assert!(ModelBundle::decode_serving(&b).is_err());
         }
     }
 

@@ -21,7 +21,7 @@
 //! [`ModelRegistry::inject_model_faults`]) is flagged corrupt and, when a
 //! distinct last-good version exists, atomically rolled back to it.
 
-use crate::bundle::ModelBundle;
+use crate::bundle::{fnv1a, ModelBundle};
 use crate::{lock_unpoisoned, read_unpoisoned, write_unpoisoned, ServeError};
 use hdc::TrigMode;
 use std::collections::HashMap;
@@ -237,16 +237,6 @@ impl Default for ModelRegistry {
             default_trig: AtomicU8::new(TrigMode::Exact.as_u8()),
         }
     }
-}
-
-/// 64-bit FNV-1a over the bundle bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Parses bytes into a served entry and runs its canary replay. The entry

@@ -48,6 +48,10 @@ pub use mmap::MappedFile;
 pub use pack::{PackLoc, PackSet};
 pub use store::{ModelStore, StoreConfig, StoreStats};
 
+/// 64-bit FNV-1a — the store's artefact identity hash, the serving
+/// registry's bundle hash, so `list` output lines up across both.
+pub use reghd_serve::bundle::fnv1a;
+
 /// Errors surfaced by the model store.
 #[derive(Debug)]
 pub enum StoreError {
@@ -87,17 +91,6 @@ impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
     }
-}
-
-/// 64-bit FNV-1a — the store's artefact identity hash, matching the
-/// serving registry's bundle hash so `list` output lines up across both.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -7,7 +7,13 @@
 //! into an owned buffer: the [`MappedFile`] API (a `&[u8]` view of a file)
 //! is identical either way, only the residency behaviour differs (mapped
 //! pages are demand-faulted and evictable; the fallback is resident heap).
+//!
+//! The `unsafe` here rests on one invariant: a mapping's pointer and length
+//! are private to this module, set only by a successful [`MappedFile::map`]
+//! and released only by its `Drop`, so every `&[u8]` view borrows a live,
+//! read-only mapping of exactly that length.
 #![allow(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 use std::fs::File;
 use std::io;
@@ -22,6 +28,14 @@ mod sys {
     const PROT_READ: usize = 1;
     const MAP_PRIVATE: usize = 2;
 
+    /// Issues raw syscall `nr` with six arguments and returns the kernel's
+    /// result (`-errno` on failure).
+    ///
+    /// # Safety
+    ///
+    /// Every pointer argument must be valid for the access syscall `nr`
+    /// makes through it, and the call must not unmap or otherwise
+    /// invalidate memory that other code still relies on.
     #[cfg(target_arch = "x86_64")]
     unsafe fn syscall6(
         nr: usize,
@@ -49,6 +63,12 @@ mod sys {
         ret
     }
 
+    /// The aarch64 form of the x86_64 `syscall6`.
+    ///
+    /// # Safety
+    ///
+    /// As for the x86_64 form: pointer arguments valid for the syscall's
+    /// access, and no memory other code relies on invalidated.
     #[cfg(target_arch = "aarch64")]
     unsafe fn syscall6(
         nr: usize,
@@ -86,6 +106,9 @@ mod sys {
     /// Maps `len` bytes of `fd` read-only and private. `len` must be
     /// non-zero (the kernel rejects zero-length maps).
     pub fn map_readonly(fd: i32, len: usize) -> io::Result<*const u8> {
+        // SAFETY: a null address hint lets the kernel place a fresh
+        // read-only private mapping, so no existing memory is touched; the
+        // fd is only read by the kernel.
         let ret = unsafe {
             syscall6(
                 SYS_MMAP,
@@ -104,8 +127,16 @@ mod sys {
     }
 
     /// Unmaps a region previously returned by [`map_readonly`].
-    pub fn unmap(ptr: *const u8, len: usize) {
+    ///
+    /// # Safety
+    ///
+    /// `ptr` and `len` must be a mapping returned by [`map_readonly`] that
+    /// is not unmapped yet, and no reference into it may be used after
+    /// this call.
+    pub unsafe fn unmap(ptr: *const u8, len: usize) {
         // Failure here leaks address space at worst; nothing to report.
+        // SAFETY: the caller guarantees `ptr`/`len` name a live mapping with
+        // no reference into it left in use.
         unsafe {
             let _ = syscall6(SYS_MUNMAP, ptr as usize, len, 0, 0, 0, 0);
         }
@@ -117,7 +148,11 @@ mod sys {
 /// the file's length at map time — bytes appended afterwards are outside
 /// it and must be read through the file handle (the packfile layer does
 /// exactly that for recent appends).
-pub enum MappedFile {
+pub struct MappedFile(View);
+
+/// The two residency regimes; private so that only [`MappedFile::map`] can
+/// make a `Mapped` view.
+enum View {
     /// Demand-paged kernel mapping (Linux x86_64/aarch64).
     #[cfg(all(
         target_os = "linux",
@@ -133,17 +168,22 @@ pub enum MappedFile {
     Owned(Vec<u8>),
 }
 
-// The mapping is read-only and private; the raw pointer is only ever
-// dereferenced through the shared slice view.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
+// SAFETY: a `Mapped` view owns its mapping and only ever reads it through
+// `as_slice`'s shared borrow, and the mapping is read-only, so moving the
+// view to another thread (and unmapping it there on drop) is like moving a
+// `Box<[u8]>`. `Owned` is a `Vec<u8>`.
 unsafe impl Send for MappedFile {}
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
+// SAFETY: `&MappedFile` only exposes `&[u8]` of a read-only mapping (or of
+// a `Vec<u8>`), and nothing mutates the view through `&self`, so shared
+// access from several threads is like sharing a `&[u8]`.
 unsafe impl Sync for MappedFile {}
 
 impl MappedFile {
@@ -152,7 +192,7 @@ impl MappedFile {
     /// zero-length views never invoke the kernel.
     pub fn map(file: &File, len: usize) -> io::Result<Self> {
         if len == 0 {
-            return Ok(Self::Owned(Vec::new()));
+            return Ok(Self(View::Owned(Vec::new())));
         }
         #[cfg(all(
             target_os = "linux",
@@ -161,7 +201,7 @@ impl MappedFile {
         {
             use std::os::fd::AsRawFd;
             let ptr = sys::map_readonly(file.as_raw_fd(), len)?;
-            Ok(Self::Mapped { ptr, len })
+            Ok(Self(View::Mapped { ptr, len }))
         }
         #[cfg(not(all(
             target_os = "linux",
@@ -173,19 +213,25 @@ impl MappedFile {
             let mut f = file.try_clone()?;
             std::io::Seek::seek(&mut f, std::io::SeekFrom::Start(0))?;
             f.read_exact(&mut buf)?;
-            Ok(Self::Owned(buf))
+            Ok(Self(View::Owned(buf)))
         }
     }
 
     /// The mapped bytes.
     pub fn as_slice(&self) -> &[u8] {
-        match self {
+        match &self.0 {
             #[cfg(all(
                 target_os = "linux",
                 any(target_arch = "x86_64", target_arch = "aarch64")
             ))]
-            Self::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-            Self::Owned(v) => v,
+            // SAFETY: only `map` builds a `Mapped` view, from a successful
+            // `len`-byte `mmap` that stays mapped until `Drop`, so the
+            // borrow (tied to `&self`) covers live, readable memory. The
+            // bytes do not change while borrowed: the mapping is read-only
+            // and the store only appends to packfiles, never rewriting the
+            // mapped prefix.
+            View::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            View::Owned(v) => v,
         }
     }
 
@@ -203,26 +249,29 @@ impl MappedFile {
     /// platforms) — surfaced in store stats so operators can tell which
     /// residency regime they are in.
     pub fn is_kernel_mapping(&self) -> bool {
-        match self {
+        match self.0 {
             #[cfg(all(
                 target_os = "linux",
                 any(target_arch = "x86_64", target_arch = "aarch64")
             ))]
-            Self::Mapped { .. } => true,
-            Self::Owned(_) => false,
+            View::Mapped { .. } => true,
+            View::Owned(_) => false,
         }
     }
 }
 
 impl Drop for MappedFile {
     fn drop(&mut self) {
-        match self {
+        match self.0 {
             #[cfg(all(
                 target_os = "linux",
                 any(target_arch = "x86_64", target_arch = "aarch64")
             ))]
-            Self::Mapped { ptr, len } => sys::unmap(*ptr, *len),
-            Self::Owned(_) => {}
+            // SAFETY: `ptr`/`len` come from the `map_readonly` call in `map`
+            // and are unmapped only here, once; every `as_slice` borrow ends
+            // before `drop` can run.
+            View::Mapped { ptr, len } => unsafe { sys::unmap(ptr, len) },
+            View::Owned(_) => {}
         }
     }
 }

@@ -27,9 +27,8 @@
 //! canary predictions, and bit-exact resume all assume the training-time
 //! arithmetic. The opt-in fast-trig mode is a *serving* knob
 //! (`--trig fast`), and even there canary replays pin exact mode. The
-//! per-sample update itself goes through the encoder's fused
-//! `encode_both` (single projection pass for the real and binarised
-//! encoding) inside [`reghd::OnlineRegHd`].
+//! per-sample update itself runs inside [`reghd::OnlineRegHd`], which
+//! encodes through the same query preparation as the batch trainer.
 
 use crate::detect::DriftDetector;
 use crate::source::SampleSource;
