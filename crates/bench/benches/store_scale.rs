@@ -20,7 +20,7 @@
 
 use reghd::config::RegHdConfig;
 use reghd::{RegHdRegressor, Regressor};
-use reghd_serve::bundle::ModelBundle;
+use reghd_serve::bundle::{encoder_spec, ModelBundle};
 use reghd_store::{ModelStore, StoreConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,10 +58,8 @@ fn trained_bytes(seed: u64) -> Vec<u8> {
         .seed(seed)
         .max_epochs(4)
         .build();
-    let mut model = RegHdRegressor::new(
-        cfg,
-        Box::new(encoding::NonlinearEncoder::new(FEATURES, DIM, seed ^ 0xC11)),
-    );
+    let spec = encoder_spec(FEATURES, &cfg);
+    let mut model = RegHdRegressor::new(cfg, spec.build());
     model.fit(&rows, &ys);
     ModelBundle::from_trained(
         model,

@@ -24,7 +24,8 @@
 //!
 //! let mut buf = Vec::new();
 //! persist::save(&model, &spec, &mut buf)?;
-//! let loaded = persist::load(&mut buf.as_slice())?;
+//! let (loaded, loaded_spec) = persist::load(&mut buf.as_slice())?;
+//! assert_eq!(loaded_spec, spec);
 //! assert_eq!(loaded.predict_one(&[0.5, -0.5]), model.predict_one(&[0.5, -0.5]));
 //! # Ok::<(), reghd::persist::PersistError>(())
 //! ```
@@ -456,14 +457,16 @@ pub fn save<W: Write>(
     write_banks(w, model.clusters(), model.models())
 }
 
-/// Deserialises a model from any reader.
+/// Deserialises a model from any reader, together with the encoder spec
+/// the file carries — the spec the returned model encodes with, and the
+/// one to pass back to [`save`].
 ///
 /// # Errors
 ///
 /// Returns [`PersistError::Format`] when the stream is not a valid model
 /// file (wrong magic/version, inconsistent shapes, bad enum tags) and
 /// [`PersistError::Io`] on read failure.
-pub fn load<R: Read>(r: &mut R) -> Result<RegHdRegressor, PersistError> {
+pub fn load<R: Read>(r: &mut R) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
     let version = read_version(r)?;
     match version {
         VERSION => {}
@@ -494,14 +497,9 @@ pub fn load<R: Read>(r: &mut R) -> Result<RegHdRegressor, PersistError> {
         None
     };
     let (clusters, model_hvs) = read_banks(r, &cfg)?;
-    Ok(RegHdRegressor::from_parts(
-        cfg,
-        spec.build(),
-        clusters,
-        model_hvs,
-        center,
-        intercept,
-    ))
+    let model =
+        RegHdRegressor::from_parts(cfg, spec.build(), clusters, model_hvs, center, intercept);
+    Ok((model, spec))
 }
 
 /// Saves a model to a file path. See [`save`].
@@ -523,7 +521,9 @@ pub fn save_to_file<P: AsRef<Path>>(
 /// # Errors
 ///
 /// Returns [`PersistError`] on filesystem failure or malformed content.
-pub fn load_from_file<P: AsRef<Path>>(path: P) -> Result<RegHdRegressor, PersistError> {
+pub fn load_from_file<P: AsRef<Path>>(
+    path: P,
+) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
     let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
     load(&mut f)
 }
@@ -562,14 +562,15 @@ pub fn save_online<W: Write>(
     write_banks(w, model.clusters(), model.models())
 }
 
-/// Deserialises a streaming model saved by [`save_online`].
+/// Deserialises a streaming model saved by [`save_online`], together with
+/// the encoder spec the file carries (see [`load`]).
 ///
 /// # Errors
 ///
 /// Returns [`PersistError::Format`] when the stream is not a valid online
 /// model file (including batch files, which must go through [`load`]) and
 /// [`PersistError::Io`] on read failure.
-pub fn load_online<R: Read>(r: &mut R) -> Result<OnlineRegHd, PersistError> {
+pub fn load_online<R: Read>(r: &mut R) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
     let version = read_version(r)?;
     if version == VERSION {
         return Err(PersistError::Format(
@@ -597,7 +598,7 @@ pub fn load_online<R: Read>(r: &mut R) -> Result<OnlineRegHd, PersistError> {
         .map(|_| r_f64(r))
         .collect::<Result<_, _>>()?;
     let (clusters, model_hvs) = read_banks(r, &cfg)?;
-    Ok(OnlineRegHd::from_parts(
+    let model = OnlineRegHd::from_parts(
         cfg,
         spec.build(),
         clusters,
@@ -606,7 +607,8 @@ pub fn load_online<R: Read>(r: &mut R) -> Result<OnlineRegHd, PersistError> {
         samples_seen,
         ewma_sq_err,
         cluster_err,
-    ))
+    );
+    Ok((model, spec))
 }
 
 /// Saves a streaming model to a file path. See [`save_online`].
@@ -628,7 +630,9 @@ pub fn save_online_to_file<P: AsRef<Path>>(
 /// # Errors
 ///
 /// Returns [`PersistError`] on filesystem failure or malformed content.
-pub fn load_online_from_file<P: AsRef<Path>>(path: P) -> Result<OnlineRegHd, PersistError> {
+pub fn load_online_from_file<P: AsRef<Path>>(
+    path: P,
+) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
     let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
     load_online(&mut f)
 }
@@ -667,7 +671,8 @@ mod tests {
             let (model, spec, xs) = trained(pred);
             let mut buf = Vec::new();
             save(&model, &spec, &mut buf).unwrap();
-            let loaded = load(&mut buf.as_slice()).unwrap();
+            let (loaded, loaded_spec) = load(&mut buf.as_slice()).unwrap();
+            assert_eq!(loaded_spec, spec);
             for x in xs.iter().take(10) {
                 assert_eq!(
                     loaded.predict_one(x),
@@ -683,7 +688,7 @@ mod tests {
         let (model, spec, xs) = trained(PredictionMode::Full);
         let path = std::env::temp_dir().join("reghd_persist_test.rghd");
         save_to_file(&model, &spec, &path).unwrap();
-        let loaded = load_from_file(&path).unwrap();
+        let (loaded, _) = load_from_file(&path).unwrap();
         assert_eq!(loaded.predict_one(&xs[0]), model.predict_one(&xs[0]));
         std::fs::remove_file(&path).ok();
     }
@@ -819,7 +824,7 @@ mod tests {
         let (model, spec, _) = trained(PredictionMode::BinaryQuery);
         let mut buf = Vec::new();
         save(&model, &spec, &mut buf).unwrap();
-        let loaded = load(&mut buf.as_slice()).unwrap();
+        let (loaded, _) = load(&mut buf.as_slice()).unwrap();
         assert_eq!(loaded.config(), model.config());
         assert_eq!(loaded.intercept(), model.intercept());
     }
@@ -854,7 +859,8 @@ mod tests {
         model.quantize_now();
         let mut buf = Vec::new();
         save_online(&model, &spec, &mut buf).unwrap();
-        let mut loaded = load_online(&mut buf.as_slice()).unwrap();
+        let (mut loaded, loaded_spec) = load_online(&mut buf.as_slice()).unwrap();
+        assert_eq!(loaded_spec, spec);
 
         assert_eq!(loaded.samples_seen(), model.samples_seen());
         assert_eq!(loaded.prequential_mse(), model.prequential_mse());
@@ -878,7 +884,7 @@ mod tests {
         model.quantize_now();
         let path = std::env::temp_dir().join("reghd_persist_online_test.rghd");
         save_online_to_file(&model, &spec, &path).unwrap();
-        let loaded = load_online_from_file(&path).unwrap();
+        let (loaded, _) = load_online_from_file(&path).unwrap();
         assert_eq!(loaded.predict_one(&xs[0]), model.predict_one(&xs[0]));
         std::fs::remove_file(&path).ok();
     }

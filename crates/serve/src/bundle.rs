@@ -21,7 +21,9 @@
 //!   predictions **bit-exactly** before it is allowed to serve (see
 //!   [`ModelBundle::run_canary`]); the registry rolls back to the previous
 //!   version on mismatch.
-//! * **model** — the embedded `reghd::persist` blob.
+//! * **model** — the embedded `reghd::persist` blob, which carries the
+//!   spec of the encoder the model encodes with. A decoded bundle keeps
+//!   that spec and writes it back unchanged.
 //!
 //! Version 1 bundles (no checksums, no canary) remain loadable; they simply
 //! skip the canary replay.
@@ -113,11 +115,6 @@ pub fn train_with_threads(
     let scaler = TargetScaler::fit(&ds.targets);
     let train_y: Vec<f32> = ds.targets.iter().map(|&y| scaler.transform(y)).collect();
 
-    let spec = EncoderSpec::Nonlinear {
-        input_dim: ds.num_features(),
-        dim,
-        seed: seed ^ 0xC11,
-    };
     let mut builder = RegHdConfig::builder()
         .dim(dim)
         .models(models)
@@ -129,6 +126,7 @@ pub fn train_with_threads(
             .prediction_mode(PredictionMode::BinaryQuery);
     }
     let config = builder.build();
+    let spec = encoder_spec(ds.num_features(), &config);
     let mut model = RegHdRegressor::new(config, spec.build());
     model.set_threads(threads);
     let report = model.fit(&normalised.features, &train_y);
@@ -152,50 +150,49 @@ pub fn train_with_threads(
         feat_means.push(-a * sigma);
     }
 
-    let mut bundle = ModelBundle {
+    // The canary rows are raw training rows, so the replay exercises the
+    // scalers too.
+    let bundle = ModelBundle::from_trained(
         model,
-        spec,
         feat_means,
         feat_stds,
-        target_mean: scaler.mean(),
-        target_std: scaler.std(),
-        canary_rows: Vec::new(),
-        canary_preds: Vec::new(),
-    };
-
-    // Capture canary reference rows spread across the training set (raw
-    // units, so the replay exercises the scalers too).
-    let step = (ds.len() / CANARY_ROWS).max(1);
-    let rows: Vec<Vec<f32>> = ds
-        .features
-        .iter()
-        .step_by(step)
-        .take(CANARY_ROWS)
-        .cloned()
-        .collect();
-    let preds = bundle.predict(&rows)?;
-    bundle.canary_rows = rows;
-    bundle.canary_preds = preds;
-
+        scaler.mean(),
+        scaler.std(),
+        &ds.features,
+    )?;
     Ok((bundle, report))
 }
 
+/// The encoder spec a model gets when it is first built for a bundle: the
+/// Eq. 1 nonlinear encoder for `input_dim` features at the config's
+/// dimensionality, seeded `config.seed ^ 0xC11`. [`train`],
+/// [`ModelBundle::from_trained`] and the streaming trainer build with it;
+/// a decoded bundle keeps the spec its blob carries instead.
+pub fn encoder_spec(input_dim: usize, config: &RegHdConfig) -> EncoderSpec {
+    EncoderSpec::Nonlinear {
+        input_dim,
+        dim: config.dim,
+        seed: config.seed ^ 0xC11,
+    }
+}
+
 impl ModelBundle {
-    /// Wraps an already-trained model (the streaming trainer's snapshot
-    /// path) into a bundle, capturing up to [`CANARY_ROWS`] of the given
-    /// raw-unit rows — together with the model's own predictions for them —
-    /// as the canary section.
+    /// Wraps a freshly trained model (the batch trainer's and the streaming
+    /// trainer's snapshot path) into a bundle, capturing up to
+    /// [`CANARY_ROWS`] evenly spaced rows of `canary_source` (raw units) —
+    /// together with the model's own predictions for them — as the canary
+    /// section.
     ///
-    /// The model **must** have been built with the Nonlinear encoder at the
-    /// derived seed `config.seed ^ 0xC11` (the convention every loader in
-    /// this crate re-derives the spec from; [`train`] and the streaming
-    /// trainer both follow it). A model built differently would serialise
-    /// fine but fail its own canary replay on reload — caught, but late.
+    /// The model **must** have been built with [`encoder_spec`] for the
+    /// scalers' feature count: that is the spec the bundle records. A model
+    /// built differently would serialise a spec it does not encode with and
+    /// fail its own canary replay on reload — caught, but late.
     ///
     /// # Errors
     ///
-    /// Rejects mismatched scaler lengths, rows whose width disagrees with
-    /// the scalers, and non-finite canary rows.
+    /// Rejects mismatched scaler lengths, a model whose encoder expects a
+    /// different feature count than the scalers carry, rows whose width
+    /// disagrees with the scalers, and non-finite canary rows.
     pub fn from_trained(
         model: RegHdRegressor,
         feat_means: Vec<f32>,
@@ -204,28 +201,9 @@ impl ModelBundle {
         target_std: f32,
         canary_source: &[Vec<f32>],
     ) -> Result<Self, String> {
-        if feat_means.len() != feat_stds.len() {
-            return Err(format!(
-                "feature means ({}) and stds ({}) disagree",
-                feat_means.len(),
-                feat_stds.len()
-            ));
-        }
-        let spec = EncoderSpec::Nonlinear {
-            input_dim: feat_means.len(),
-            dim: model.config().dim,
-            seed: model.config().seed ^ 0xC11,
-        };
-        let mut bundle = Self {
-            model,
-            spec,
-            feat_means,
-            feat_stds,
-            target_mean,
-            target_std,
-            canary_rows: Vec::new(),
-            canary_preds: Vec::new(),
-        };
+        let spec = encoder_spec(feat_means.len(), model.config());
+        let mut bundle =
+            Self::assemble(model, spec, feat_means, feat_stds, target_mean, target_std)?;
         let step = (canary_source.len() / CANARY_ROWS).max(1);
         let rows: Vec<Vec<f32>> = canary_source
             .iter()
@@ -233,9 +211,8 @@ impl ModelBundle {
             .take(CANARY_ROWS)
             .cloned()
             .collect();
-        let preds = bundle.predict(&rows)?;
+        bundle.canary_preds = bundle.predict(&rows)?;
         bundle.canary_rows = rows;
-        bundle.canary_preds = preds;
         Ok(bundle)
     }
 
@@ -248,6 +225,12 @@ impl ModelBundle {
     /// metadata).
     pub fn model(&self) -> &RegHdRegressor {
         &self.model
+    }
+
+    /// The spec of the encoder the model encodes with — the one
+    /// [`ModelBundle::to_bytes`] records.
+    pub fn spec(&self) -> &EncoderSpec {
+        &self.spec
     }
 
     /// Sets the row-parallelism knob on the embedded model (`0` = available
@@ -337,8 +320,8 @@ impl ModelBundle {
     /// canary section verbatim instead of recapturing it — the store's
     /// delta-application path, where the new canary ships inside the delta
     /// and the result must serialise **bit-identically** to the full bundle
-    /// the trainer built. The encoder spec is re-derived from the model's
-    /// config exactly as every loader does.
+    /// the trainer built. `spec` is the spec `model` was built with (the
+    /// base bundle's [`ModelBundle::spec`]).
     ///
     /// # Errors
     ///
@@ -346,8 +329,10 @@ impl ModelBundle {
     /// different feature count than the scalers carry, and canary
     /// rows/preds that disagree in count or width (see
     /// [`ModelBundle::with_canary`]).
+    #[allow(clippy::too_many_arguments)]
     pub fn from_parts_with_canary(
         model: RegHdRegressor,
+        spec: EncoderSpec,
         feat_means: Vec<f32>,
         feat_stds: Vec<f32>,
         target_mean: f32,
@@ -355,23 +340,8 @@ impl ModelBundle {
         canary_rows: Vec<Vec<f32>>,
         canary_preds: Vec<f32>,
     ) -> Result<Self, String> {
-        if feat_means.len() != feat_stds.len() {
-            return Err(format!(
-                "feature means ({}) and stds ({}) disagree",
-                feat_means.len(),
-                feat_stds.len()
-            ));
-        }
-        Self::assemble(
-            model,
-            feat_means,
-            feat_stds,
-            target_mean,
-            target_std,
-            Vec::new(),
-            Vec::new(),
-        )?
-        .with_canary(canary_rows, canary_preds)
+        Self::assemble(model, spec, feat_means, feat_stds, target_mean, target_std)?
+            .with_canary(canary_rows, canary_preds)
     }
 
     /// Standardises raw-unit rows, validating width and finiteness.
@@ -605,55 +575,14 @@ impl ModelBundle {
     }
 
     /// Deserialises a bundle from bytes (the hot-reload entry point: the
-    /// registry hashes and loads from one in-memory copy). Reads both the
-    /// checksummed v2 layout and the legacy v1 layout.
+    /// registry hashes and loads from one in-memory copy): the serving
+    /// decode ([`ModelBundle::decode_serving`]) plus the canary section
+    /// ([`ModelBundle::attach_canary_from`]). Reads both the checksummed v2
+    /// layout and the legacy v1 layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut r: &[u8] = bytes;
-        let mut magic = [0u8; 4];
-        read_exact(&mut r, &mut magic)?;
-        if &magic != MAGIC {
-            return Err("not a reghd-cli model bundle".to_string());
-        }
-        match read_u16(&mut r)? {
-            1 => Self::read_v1(&mut r),
-            2 => Self::read_v2(bytes),
-            v => Err(format!("unsupported bundle version {v}")),
-        }
-    }
-
-    /// Legacy layout: scalers and model blob inline, no checksums, no
-    /// canary.
-    fn read_v1(r: &mut &[u8]) -> Result<Self, String> {
-        let (feat_means, feat_stds, target_mean, target_std) = read_scalers(r)?;
-        let model = persist::load(r).map_err(|e| e.to_string())?;
-        Self::assemble(
-            model,
-            feat_means,
-            feat_stds,
-            target_mean,
-            target_std,
-            Vec::new(),
-            Vec::new(),
-        )
-    }
-
-    /// Checksummed layout: every section is verified before any is decoded.
-    fn read_v2(bytes: &[u8]) -> Result<Self, String> {
-        let frames = SectionFrames::parse(bytes)?;
-        let (scalers, canary, blob) = (frames.scalers()?, frames.canary()?, frames.model()?);
-        let (feat_means, feat_stds, target_mean, target_std) = decode_scalers_payload(scalers)?;
-        let (canary_rows, canary_preds) = decode_canary_payload(canary, feat_means.len())?;
-        let mut b: &[u8] = blob;
-        let model = persist::load(&mut b).map_err(|e| e.to_string())?;
-        Self::assemble(
-            model,
-            feat_means,
-            feat_stds,
-            target_mean,
-            target_std,
-            canary_rows,
-            canary_preds,
-        )
+        let mut bundle = Self::decode_serving(bytes)?;
+        bundle.attach_canary_from(bytes)?;
+        Ok(bundle)
     }
 
     /// Decodes only the sections the serving path needs — scalers and
@@ -669,33 +598,26 @@ impl ModelBundle {
     /// re-serialised as a source of truth — the store keeps the original
     /// bytes for that.
     ///
-    /// v1 images have no section frames to skip and fall back to the full
-    /// loader.
+    /// v1 images (scalers and model blob inline, no checksums, no canary)
+    /// have no section frames to skip and decode whole.
     pub fn decode_serving(bytes: &[u8]) -> Result<Self, String> {
-        if bytes.len() >= 6 && &bytes[..4] == MAGIC && bytes[4..6] == 1u16.to_le_bytes() {
-            let mut r: &[u8] = &bytes[6..];
-            return Self::read_v1(&mut r);
-        }
-        let frames = SectionFrames::parse(bytes)?;
-        let (feat_means, feat_stds, target_mean, target_std) =
-            decode_scalers_payload(frames.scalers()?)?;
-        let mut b: &[u8] = frames.model()?;
-        let model = persist::load(&mut b).map_err(|e| e.to_string())?;
-        Self::assemble(
-            model,
-            feat_means,
-            feat_stds,
-            target_mean,
-            target_std,
-            Vec::new(),
-            Vec::new(),
-        )
+        let mut r: &[u8] = bytes;
+        let ((feat_means, feat_stds, target_mean, target_std), mut blob) =
+            if read_header(&mut r)? == 1 {
+                (read_scalers(&mut r)?, r)
+            } else {
+                let frames = SectionFrames::parse(bytes)?;
+                (decode_scalers_payload(frames.scalers()?)?, frames.model()?)
+            };
+        let (model, spec) = persist::load(&mut blob).map_err(|e| e.to_string())?;
+        Self::assemble(model, spec, feat_means, feat_stds, target_mean, target_std)
     }
 
     /// The deferred counterpart of [`ModelBundle::decode_serving`]:
     /// verifies the canary section's checksum (the section's first touch)
     /// and decodes it into this bundle, after which
-    /// [`ModelBundle::run_canary`] replays it as usual.
+    /// [`ModelBundle::run_canary`] replays it as usual. A v1 image has no
+    /// canary section, so there is nothing to attach.
     ///
     /// # Errors
     ///
@@ -703,27 +625,38 @@ impl ModelBundle {
     /// store's audit path) treats either as bundle rot and rolls the key
     /// back to its last-good version.
     pub fn attach_canary_from(&mut self, bytes: &[u8]) -> Result<(), String> {
+        if read_header(&mut &bytes[..])? == 1 {
+            return Ok(());
+        }
         let frames = SectionFrames::parse(bytes)?;
-        let payload = frames.canary()?;
-        let (rows, preds) = decode_canary_payload(payload, self.num_features())?;
+        let (rows, preds) = decode_canary_payload(frames.canary()?, self.num_features())?;
         self.canary_rows = rows;
         self.canary_preds = preds;
         Ok(())
     }
 
-    /// Joins a decoded model with its scalers. Rejects a model whose
-    /// encoder expects a different feature count than the scalers carry:
-    /// the two come from separately checksummed sections, and a mismatch
-    /// would otherwise decode fine and then panic on every predict.
+    /// Joins a model, the spec it encodes with, and its scalers — the one
+    /// constructor every bundle goes through, with an empty canary section.
+    /// Rejects scaler lengths that disagree and a model whose encoder
+    /// expects a different feature count than the scalers carry: a decoded
+    /// bundle's scalers and model come from separately checksummed
+    /// sections, and a mismatch would otherwise build fine and then panic
+    /// on every predict.
     fn assemble(
         model: RegHdRegressor,
+        spec: EncoderSpec,
         feat_means: Vec<f32>,
         feat_stds: Vec<f32>,
         target_mean: f32,
         target_std: f32,
-        canary_rows: Vec<Vec<f32>>,
-        canary_preds: Vec<f32>,
     ) -> Result<Self, String> {
+        if feat_means.len() != feat_stds.len() {
+            return Err(format!(
+                "feature means ({}) and stds ({}) disagree",
+                feat_means.len(),
+                feat_stds.len()
+            ));
+        }
         let encoded = model.encoder().input_dim();
         if encoded != feat_means.len() {
             return Err(format!(
@@ -731,14 +664,6 @@ impl ModelBundle {
                 feat_means.len()
             ));
         }
-        // The persist blob does not carry the spec back out; rebuild it
-        // from the model's config (the CLI always uses the Nonlinear
-        // encoder with the same derived seed).
-        let spec = EncoderSpec::Nonlinear {
-            input_dim: feat_means.len(),
-            dim: model.config().dim,
-            seed: model.config().seed ^ 0xC11,
-        };
         Ok(Self {
             model,
             spec,
@@ -746,8 +671,8 @@ impl ModelBundle {
             feat_stds,
             target_mean,
             target_std,
-            canary_rows,
-            canary_preds,
+            canary_rows: Vec::new(),
+            canary_preds: Vec::new(),
         })
     }
 
@@ -766,6 +691,19 @@ impl ModelBundle {
             .and_then(|mut f| f.read_to_end(&mut bytes))
             .map_err(|e| format!("cannot read {path}: {e}"))?;
         Self::from_bytes(&bytes)
+    }
+}
+
+/// Reads the magic and the format version (1 or 2).
+fn read_header(r: &mut &[u8]) -> Result<u16, String> {
+    let mut magic = [0u8; 4];
+    read_exact(r, &mut magic)?;
+    if &magic != MAGIC {
+        return Err("not a reghd-cli model bundle".to_string());
+    }
+    match read_u16(r)? {
+        v @ (1 | VERSION) => Ok(v),
+        v => Err(format!("unsupported bundle version {v}")),
     }
 }
 
@@ -863,12 +801,7 @@ impl<'a> SectionFrames<'a> {
     /// version, and three length fields — O(1) regardless of bundle size.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, String> {
         let mut r: &[u8] = bytes;
-        let mut magic = [0u8; 4];
-        read_exact(&mut r, &mut magic)?;
-        if &magic != MAGIC {
-            return Err("not a reghd-cli model bundle".to_string());
-        }
-        let v = read_u16(&mut r)?;
+        let v = read_header(&mut r)?;
         if v != VERSION {
             return Err(format!("section frames need a v2 bundle (got v{v})"));
         }
@@ -1236,13 +1169,8 @@ mod tests {
     fn from_trained_online_snapshot_roundtrips_with_passing_canary() {
         // Mirror the streaming trainer's checkpoint path: train online,
         // quantise, snapshot, wrap with identity scalers, round-trip.
-        let seed = 21u64;
-        let spec = EncoderSpec::Nonlinear {
-            input_dim: 2,
-            dim: 256,
-            seed: seed ^ 0xC11,
-        };
-        let cfg = RegHdConfig::builder().dim(256).models(2).seed(seed).build();
+        let cfg = RegHdConfig::builder().dim(256).models(2).seed(21).build();
+        let spec = encoder_spec(2, &cfg);
         let mut online = reghd::OnlineRegHd::new(cfg, spec.build());
         let rows: Vec<Vec<f32>> = (0..50).map(|i| vec![i as f32 / 50.0, 1.0]).collect();
         for r in &rows {
@@ -1276,6 +1204,20 @@ mod tests {
             ModelBundle::from_trained(model, vec![0.0; 2], vec![1.0; 3], 0.0, 1.0, &ds.features)
                 .unwrap_err();
         assert!(err.contains("disagree"), "err: {err}");
+    }
+
+    #[test]
+    fn from_trained_rejects_a_model_wider_than_its_scalers() {
+        // A 3-feature model with 2-wide scalers and rows: the width check
+        // answers before the canary capture feeds 2-wide rows to a
+        // 3-wide encoder.
+        let cfg = RegHdConfig::builder().dim(128).models(2).seed(5).build();
+        let spec = encoder_spec(3, &cfg);
+        let model = RegHdRegressor::new(cfg, spec.build());
+        let rows = vec![vec![0.5, 1.0]; 4];
+        let err = ModelBundle::from_trained(model, vec![0.0; 2], vec![1.0; 2], 0.0, 1.0, &rows)
+            .unwrap_err();
+        assert!(err.contains("encodes 3 features"), "err: {err}");
     }
 
     #[test]
@@ -1394,6 +1336,7 @@ mod tests {
                 loaded.model.center().cloned(),
                 loaded.model.intercept(),
             ),
+            loaded.spec.clone(),
             loaded.feat_means.clone(),
             loaded.feat_stds.clone(),
             loaded.target_mean,
@@ -1545,14 +1488,11 @@ mod tests {
         let clusters = (0..k).map(|_| hv()).collect();
         let models = (0..k).map(|_| hv()).collect();
         let center = Some(hv());
-        let spec = EncoderSpec::Nonlinear {
-            input_dim: 5,
-            dim,
-            seed: 41 ^ 0xC11,
-        };
+        let spec = encoder_spec(5, &cfg);
         let model = RegHdRegressor::from_parts(cfg, spec.build(), clusters, models, center, 0.375);
         ModelBundle::from_parts_with_canary(
             model,
+            spec,
             vec![0.5, -1.25, 2.0, 0.0, 3.5],
             vec![1.0, 0.5, 2.25, 1.5, 0.75],
             10.5,

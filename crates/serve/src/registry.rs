@@ -162,7 +162,48 @@ pub struct ServedModel {
     pub corrupt: AtomicBool,
 }
 
+impl ModelMeta {
+    /// Describes `bundle`, decoded from an image of `bytes` bytes whose
+    /// FNV-1a is `hash`, served as `name` at `version`. `canary_rows` is
+    /// the canary-section row count, which a lazily decoded bundle (no
+    /// canary attached) reads from the section header instead.
+    pub fn new(
+        name: &str,
+        version: u64,
+        hash: u64,
+        bytes: usize,
+        canary_rows: usize,
+        bundle: &ModelBundle,
+    ) -> Self {
+        let cfg = bundle.model().config();
+        Self {
+            name: name.to_string(),
+            version,
+            hash: format!("{hash:016x}"),
+            bytes,
+            input_dim: bundle.num_features(),
+            dim: cfg.dim,
+            models: cfg.models,
+            cluster_mode: cfg.cluster_mode.label(),
+            prediction_mode: cfg.prediction_mode.label(),
+            canary_rows,
+            mem: bundle.approx_mem_bytes(),
+        }
+    }
+}
+
 impl ServedModel {
+    /// Wraps a decoded bundle as a served entry, recording its state
+    /// checksum for the sweep.
+    pub fn new(meta: ModelMeta, bundle: ModelBundle) -> Self {
+        Self {
+            state_crc: bundle.state_checksum(),
+            bundle,
+            meta,
+            corrupt: AtomicBool::new(false),
+        }
+    }
+
     /// Whether the sweep has flagged this entry as corrupted.
     pub fn is_corrupt(&self) -> bool {
         self.corrupt.load(Ordering::Relaxed)
@@ -239,32 +280,16 @@ impl Default for ModelRegistry {
     }
 }
 
-/// Parses bytes into a served entry and runs its canary replay. The entry
-/// is returned unwrapped so callers can adjust metadata before sharing it.
-fn build_entry(name: &str, version: u64, bytes: &[u8]) -> Result<ServedModel, ServeError> {
-    let bundle = ModelBundle::from_bytes(bytes).map_err(ServeError::Bundle)?;
-    bundle.run_canary().map_err(ServeError::Canary)?;
-    let cfg = bundle.model().config();
-    let meta = ModelMeta {
-        name: name.to_string(),
-        version,
-        hash: format!("{:016x}", fnv1a(bytes)),
-        bytes: bytes.len(),
-        input_dim: bundle.num_features(),
-        dim: cfg.dim,
-        models: cfg.models,
-        cluster_mode: cfg.cluster_mode.label(),
-        prediction_mode: cfg.prediction_mode.label(),
-        canary_rows: bundle.canary_len(),
-        mem: bundle.approx_mem_bytes(),
-    };
-    let state_crc = bundle.state_checksum();
-    Ok(ServedModel {
-        bundle,
-        meta,
-        state_crc,
-        corrupt: AtomicBool::new(false),
-    })
+/// How [`ModelRegistry::install`] treats a name that is (or is not)
+/// already loaded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Install {
+    /// Only a new name: [`ModelRegistry::load_bytes`].
+    Insert,
+    /// Only a loaded name: [`ModelRegistry::reload_bytes`].
+    Replace,
+    /// Either: [`ModelRegistry::publish_bytes`].
+    Upsert,
 }
 
 impl ModelRegistry {
@@ -328,23 +353,7 @@ impl ModelRegistry {
     /// if the bytes do not parse or fail a section checksum, or
     /// [`ServeError::Canary`] if the canary replay mismatches.
     pub fn load_bytes(&self, name: &str, bytes: &[u8]) -> Result<ModelMeta, ServeError> {
-        let entry = build_entry(name, 1, bytes)?;
-        entry.bundle.set_threads(self.default_threads());
-        entry.bundle.set_trig_mode(self.default_trig());
-        let entry = Arc::new(entry);
-        let meta = entry.meta.clone();
-        let mut map = write_unpoisoned(&self.inner);
-        if map.contains_key(name) {
-            return Err(ServeError::AlreadyLoaded(name.to_string()));
-        }
-        map.insert(
-            name.to_string(),
-            Slot {
-                current: entry.clone(),
-                last_good: entry,
-            },
-        );
-        Ok(meta)
+        self.install(name, bytes, Install::Insert)
     }
 
     /// Loads a new model under `name` from a `.rghd` bundle file.
@@ -372,20 +381,7 @@ impl ModelRegistry {
     /// section checksum, [`ServeError::Canary`] when the staged bundle's
     /// canary replay mismatches (the old version keeps serving).
     pub fn reload_bytes(&self, name: &str, bytes: &[u8]) -> Result<ModelMeta, ServeError> {
-        // Parse outside the lock (it deserialises megabytes of weights).
-        let mut entry = build_entry(name, 0, bytes)?;
-        entry.bundle.set_threads(self.default_threads());
-        entry.bundle.set_trig_mode(self.default_trig());
-        let mut map = write_unpoisoned(&self.inner);
-        let slot = map
-            .get_mut(name)
-            .ok_or_else(|| ServeError::NotFound(name.to_string()))?;
-        entry.meta.version = slot.current.meta.version + 1;
-        let meta = entry.meta.clone();
-        let shared = Arc::new(entry);
-        slot.current = shared.clone();
-        slot.last_good = shared;
-        Ok(meta)
+        self.install(name, bytes, Install::Replace)
     }
 
     /// Publishes bundle bytes under `name`, creating the entry when absent
@@ -402,25 +398,40 @@ impl ModelRegistry {
     /// section checksum, [`ServeError::Canary`] when the canary replay
     /// mismatches.
     pub fn publish_bytes(&self, name: &str, bytes: &[u8]) -> Result<ModelMeta, ServeError> {
-        let mut entry = build_entry(name, 1, bytes)?;
-        entry.bundle.set_threads(self.default_threads());
-        entry.bundle.set_trig_mode(self.default_trig());
+        self.install(name, bytes, Install::Upsert)
+    }
+
+    /// The one install body behind [`ModelRegistry::load_bytes`],
+    /// [`ModelRegistry::reload_bytes`] and [`ModelRegistry::publish_bytes`]:
+    /// decodes `bytes`, replays the canary, and gives the bundle the
+    /// registry's thread and trig knobs — all outside the lock (it
+    /// deserialises megabytes of weights) — then, under the write lock,
+    /// applies `mode` to the slot and swaps in the new entry as both
+    /// current and last-good version.
+    fn install(&self, name: &str, bytes: &[u8], mode: Install) -> Result<ModelMeta, ServeError> {
+        let bundle = ModelBundle::from_bytes(bytes).map_err(ServeError::Bundle)?;
+        bundle.run_canary().map_err(ServeError::Canary)?;
+        bundle.set_threads(self.default_threads());
+        bundle.set_trig_mode(self.default_trig());
+        let canary_rows = bundle.canary_len();
+        let meta = ModelMeta::new(name, 1, fnv1a(bytes), bytes.len(), canary_rows, &bundle);
+        let mut entry = ServedModel::new(meta, bundle);
         let mut map = write_unpoisoned(&self.inner);
-        if let Some(slot) = map.get_mut(name) {
-            entry.meta.version = slot.current.meta.version + 1;
-            let meta = entry.meta.clone();
-            let shared = Arc::new(entry);
-            slot.current = shared.clone();
-            slot.last_good = shared;
-            return Ok(meta);
+        match (map.get(name), mode) {
+            (Some(_), Install::Insert) => {
+                return Err(ServeError::AlreadyLoaded(name.to_string()));
+            }
+            (None, Install::Replace) => return Err(ServeError::NotFound(name.to_string())),
+            (Some(slot), _) => entry.meta.version = slot.current.meta.version + 1,
+            (None, _) => {}
         }
         let meta = entry.meta.clone();
-        let shared = Arc::new(entry);
+        let entry = Arc::new(entry);
         map.insert(
             name.to_string(),
             Slot {
-                current: shared.clone(),
-                last_good: shared,
+                current: entry.clone(),
+                last_good: entry,
             },
         );
         Ok(meta)
@@ -978,27 +989,9 @@ mod tests {
     fn served_entry(name: &str, seed: u64) -> Arc<ServedModel> {
         let bundle = toy_bundle(seed);
         let bytes = bundle.to_bytes().unwrap();
-        let cfg = bundle.model().config();
-        let meta = ModelMeta {
-            name: name.to_string(),
-            version: 7,
-            hash: format!("{:016x}", fnv1a(&bytes)),
-            bytes: bytes.len(),
-            input_dim: bundle.num_features(),
-            dim: cfg.dim,
-            models: cfg.models,
-            cluster_mode: cfg.cluster_mode.label(),
-            prediction_mode: cfg.prediction_mode.label(),
-            canary_rows: bundle.canary_len(),
-            mem: bundle.approx_mem_bytes(),
-        };
-        let state_crc = bundle.state_checksum();
-        Arc::new(ServedModel {
-            bundle,
-            meta,
-            state_crc,
-            corrupt: AtomicBool::new(false),
-        })
+        let canary_rows = bundle.canary_len();
+        let meta = ModelMeta::new(name, 7, fnv1a(&bytes), bytes.len(), canary_rows, &bundle);
+        Arc::new(ServedModel::new(meta, bundle))
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! `list` output.
 
 use crate::{fnv1a, StoreError};
-use encoding::EncoderSpec;
 use reghd::RegHdRegressor;
 use reghd_serve::bundle::ModelBundle;
 
@@ -60,8 +59,9 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
 
 impl ModelDelta {
     /// Diffs two full bundle images. Returns `None` when a delta cannot
-    /// represent the change (different config, feature width, or model
-    /// shape) — the caller publishes the full bundle instead.
+    /// represent the change (different config, encoder spec — which fixes
+    /// the feature width — or model shape) — the caller publishes the full
+    /// bundle instead.
     ///
     /// # Errors
     ///
@@ -76,7 +76,7 @@ impl ModelDelta {
         let base = ModelBundle::from_bytes(base_bytes).map_err(StoreError::Bundle)?;
         let new = ModelBundle::from_bytes(new_bytes).map_err(StoreError::Bundle)?;
         let (bcfg, ncfg) = (base.model().config(), new.model().config());
-        if bcfg != ncfg || base.num_features() != new.num_features() {
+        if bcfg != ncfg || base.spec() != new.spec() {
             return Ok(None);
         }
         let (bc, nc) = (
@@ -197,8 +197,8 @@ impl ModelDelta {
             None => base.model().center().cloned(),
         };
         let (feat_means, feat_stds, target_mean, target_std) = match &self.scalers {
-            // `compute` never changes the feature width, and the encoder
-            // below is generated from it: refuse before paying for that.
+            // `compute` never changes the feature width, and the base's
+            // encoder is built for it: refuse before rebuilding the model.
             Some((m, ..)) if m.len() != base.num_features() => {
                 return Err(StoreError::Delta(format!(
                     "delta changes the feature count from {} to {}",
@@ -218,15 +218,12 @@ impl ModelDelta {
             Some((r, p)) => (r.clone(), p.clone()),
             None => (base.canary_rows().to_vec(), base.canary_preds().to_vec()),
         };
-        let spec = EncoderSpec::Nonlinear {
-            input_dim: feat_means.len(),
-            dim: cfg.dim,
-            seed: cfg.seed ^ 0xC11,
-        };
+        let spec = base.spec().clone();
         let model =
             RegHdRegressor::from_parts(cfg, spec.build(), clusters, models, center, self.intercept);
         let patched = ModelBundle::from_parts_with_canary(
             model,
+            spec,
             feat_means,
             feat_stds,
             target_mean,
@@ -488,6 +485,7 @@ mod tests {
     use super::*;
     use reghd::config::{ClusterMode, PredictionMode, RegHdConfig};
     use reghd::Regressor;
+    use reghd_serve::bundle::encoder_spec;
 
     /// Trains a small bundle in the given quantisation modes.
     fn trained(cm: ClusterMode, pm: PredictionMode, seed: u64) -> ModelBundle {
@@ -495,11 +493,6 @@ mod tests {
             .map(|i| vec![i as f32 / 30.0, (i % 5) as f32])
             .collect();
         let ys: Vec<f32> = rows.iter().map(|r| 2.0 * r[0] - r[1]).collect();
-        let spec = EncoderSpec::Nonlinear {
-            input_dim: 2,
-            dim: 128,
-            seed: seed ^ 0xC11,
-        };
         let cfg = RegHdConfig::builder()
             .dim(128)
             .models(2)
@@ -508,6 +501,7 @@ mod tests {
             .cluster_mode(cm)
             .prediction_mode(pm)
             .build();
+        let spec = encoder_spec(2, &cfg);
         let mut model = RegHdRegressor::new(cfg, spec.build());
         model.fit(&rows, &ys);
         ModelBundle::from_trained(model, vec![0.0; 2], vec![1.0; 2], 0.0, 1.0, &rows).unwrap()
@@ -529,14 +523,9 @@ mod tests {
             *v -= 0.125;
         }
         models[1] = hdc::RealHv::from_vec(m1);
-        let spec = EncoderSpec::Nonlinear {
-            input_dim: 2,
-            dim: cfg.dim,
-            seed: cfg.seed ^ 0xC11,
-        };
         let model = RegHdRegressor::from_parts(
             cfg,
-            spec.build(),
+            base.spec().build(),
             clusters,
             models,
             base.model().center().cloned(),
@@ -607,6 +596,39 @@ mod tests {
     fn config_change_is_not_delta_able() {
         let a = trained(ClusterMode::Integer, PredictionMode::Full, 8);
         let b = trained(ClusterMode::FrameworkBinary, PredictionMode::BinaryQuery, 8);
+        let d = ModelDelta::compute(&a.to_bytes().unwrap(), 1, &b.to_bytes().unwrap()).unwrap();
+        assert!(d.is_none());
+    }
+
+    #[test]
+    fn spec_change_is_not_delta_able() {
+        // Same config and learned state under another encoder seed: a
+        // delta carries no spec, so it cannot express the change.
+        let a = trained(ClusterMode::Integer, PredictionMode::Full, 13);
+        let encoding::EncoderSpec::Nonlinear {
+            input_dim,
+            dim,
+            seed,
+        } = *a.spec()
+        else {
+            panic!("trained bundles use the Nonlinear spec");
+        };
+        let spec = encoding::EncoderSpec::Nonlinear {
+            input_dim,
+            dim,
+            seed: seed ^ 1,
+        };
+        let model = RegHdRegressor::from_parts(
+            a.model().config().clone(),
+            spec.build(),
+            a.model().clusters().integer_clusters().to_vec(),
+            a.model().models().integer_models().to_vec(),
+            a.model().center().cloned(),
+            a.model().intercept(),
+        );
+        let (m, s) = (a.feat_means().to_vec(), a.feat_stds().to_vec());
+        let b = ModelBundle::from_parts_with_canary(model, spec, m, s, 0.0, 1.0, vec![], vec![])
+            .unwrap();
         let d = ModelDelta::compute(&a.to_bytes().unwrap(), 1, &b.to_bytes().unwrap()).unwrap();
         assert!(d.is_none());
     }

@@ -370,25 +370,41 @@ fn parse_record(line: &str) -> Option<LogRecord> {
 }
 
 /// Replays `index.log`. Returns the parsed records and whether a torn
-/// tail was dropped: replay stops at the first malformed line, so a crash
-/// mid-append costs at most the record being written.
+/// tail was dropped. Only newline-terminated lines are records: a crash
+/// mid-append leaves an unterminated tail, which is torn even when it
+/// happens to parse (a record cut inside its version digits still reads as
+/// a record), so a crash costs at most the record being written. A
+/// terminated line that does not parse is corruption, not a torn tail:
+/// replay fails with [`io::ErrorKind::InvalidData`] naming the line rather
+/// than dropping it and every record after it.
 pub fn read_index_log(dir: &Path) -> io::Result<(Vec<LogRecord>, bool)> {
-    let content = match std::fs::read_to_string(log_path(dir)) {
+    let content = match std::fs::read(log_path(dir)) {
         Ok(c) => c,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
         Err(e) => return Err(e),
     };
+    let mut lines = content.split(|&b| b == b'\n');
+    // `split` yields the bytes after the last newline last: empty when the
+    // log ends on a record boundary, the torn tail otherwise.
+    let torn = lines.next_back().is_some_and(|tail| !tail.is_empty());
     let mut records = Vec::new();
-    for line in content.lines() {
+    for (i, line) in lines.enumerate() {
         if line.is_empty() {
             continue;
         }
-        match parse_record(line) {
-            Some(r) => records.push(r),
-            None => return Ok((records, true)),
-        }
+        let rec = std::str::from_utf8(line).ok().and_then(parse_record);
+        records.push(rec.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "index.log line {}: malformed record {:?}",
+                    i + 1,
+                    String::from_utf8_lossy(line)
+                ),
+            )
+        })?);
     }
-    Ok((records, false))
+    Ok((records, torn))
 }
 
 /// Appends one record to `index.log` (newline-delimited, fsynced). The
@@ -414,8 +430,9 @@ pub fn append_index_log(
         .create(true)
         .append(true)
         .open(log_path(dir))?;
-    f.write_all(format_record(rec).as_bytes())?;
-    f.write_all(b"\n")?;
+    // One write for the record and its terminator: only a terminated line
+    // replays.
+    f.write_all(format!("{}\n", format_record(rec)).as_bytes())?;
     f.sync_data()
 }
 
@@ -567,6 +584,38 @@ mod tests {
         let (recs2, torn2) = read_index_log(&dir).unwrap();
         assert_eq!(recs2, recs);
         assert!(!torn2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unterminated_tail_is_torn_even_when_it_parses() {
+        let dir = tmpdir("log_cut_tail");
+        std::fs::create_dir_all(&dir).unwrap();
+        let kept = LogRecord::Rollback { key: "a".into() };
+        append_index_log(&dir, &kept, None).unwrap();
+        // Records cut inside their version digits or their key still
+        // parse — as a different record than the one being written.
+        for cut in ["put d 0 0 10 00000000000000ff 1", "rollback user-1"] {
+            let mut log = format!("{}\n", format_record(&kept));
+            log.push_str(cut);
+            std::fs::write(dir.join("index.log"), log).unwrap();
+            let (recs, torn) = read_index_log(&dir).unwrap();
+            assert_eq!(recs, vec![kept.clone()], "{cut}");
+            assert!(torn, "{cut}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn malformed_terminated_line_is_corruption_not_a_torn_tail() {
+        let dir = tmpdir("log_mid_corruption");
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = "put a 1 0 10 00000000000000ff 1\npux b 1 10 10 00000000000000ff 1\n\
+                   put c 1 20 10 00000000000000ff 1\n";
+        std::fs::write(dir.join("index.log"), log).unwrap();
+        let err = read_index_log(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 2"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -35,7 +35,7 @@ use reghd_serve::bundle::{ModelBundle, SectionFrames};
 use reghd_serve::registry::{ModelMeta, ModelResolver, ServedModel};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Remap the active pack after this many appended bytes, so sustained
@@ -147,41 +147,41 @@ fn validate_key(key: &str) -> Result<(), StoreError> {
 /// Decodes a blob for serving (lazy canary) and wraps it as a registry
 /// entry. The metadata hash comes from the index entry, which holds the
 /// blob's FNV-1a (computed at admit, replayed from the log, or set by
-/// `bulk_alias`), so a cold load does not re-hash the blob.
+/// `bulk_alias`), so a cold load does not re-hash the blob; the canary row
+/// count comes from the unverified section header.
 fn build_served(key: &str, image: ImageRef, blob: &[u8]) -> Result<ServedModel, String> {
     let bundle = ModelBundle::decode_serving(blob)?;
-    let cfg = bundle.model().config();
     let canary_rows = SectionFrames::parse(blob)
         .map(|f| f.canary_rows_hint())
         .unwrap_or(0);
-    let meta = ModelMeta {
-        name: key.to_string(),
-        version: image.version,
-        hash: format!("{:016x}", image.hash),
-        bytes: blob.len(),
-        input_dim: bundle.num_features(),
-        dim: cfg.dim,
-        models: cfg.models,
-        cluster_mode: cfg.cluster_mode.label(),
-        prediction_mode: cfg.prediction_mode.label(),
+    let meta = ModelMeta::new(
+        key,
+        image.version,
+        image.hash,
+        blob.len(),
         canary_rows,
-        mem: bundle.approx_mem_bytes(),
-    };
-    let state_crc = bundle.state_checksum();
-    Ok(ServedModel {
-        bundle,
-        meta,
-        state_crc,
-        corrupt: AtomicBool::new(false),
-    })
+        &bundle,
+    );
+    Ok(ServedModel::new(meta, bundle))
+}
+
+/// The publication gate: full (eager) validation — every section checksum
+/// and a bit-exact canary replay. Publication is the trust boundary; the
+/// lazy CRC path on reads exists because this already ran.
+fn canary_checked(bytes: &[u8]) -> Result<ModelBundle, StoreError> {
+    let bundle = ModelBundle::from_bytes(bytes).map_err(StoreError::Bundle)?;
+    bundle.run_canary().map_err(StoreError::Canary)?;
+    Ok(bundle)
 }
 
 impl ModelStore {
     /// Opens (creating if absent) a store rooted at `root`, replaying each
     /// shard's index log. A torn log tail (crash mid-append) drops at most
-    /// the record being written: the log is truncated to its parsed prefix
-    /// before the shard accepts new appends, so a later record can never
-    /// fuse with the partial one.
+    /// the record being written: the log is truncated to its complete
+    /// records before the shard accepts new appends, so a later record can
+    /// never fuse with the partial one. A malformed complete record is
+    /// corruption, not a crash: open fails with the log untouched
+    /// ([`pack::read_index_log`]).
     ///
     /// The shard count is part of the on-disk layout (key → shard routing
     /// is `hash % shards`), so an existing store is always reopened with
@@ -202,10 +202,9 @@ impl ModelStore {
             let (records, torn) = pack::read_index_log(&dir)?;
             if torn {
                 // Crash mid-append left a partial, newline-less record at
-                // the tail. Rewrite the log to the parsed prefix now —
+                // the tail. Rewrite the log to the complete records now —
                 // appending after the partial record would fuse the two
-                // into one unparseable line and silently drop every
-                // later record on the next replay.
+                // into one malformed line and fail the next replay.
                 pack::rewrite_index_log(&dir, &records, None)?;
             }
             let mut index: HashMap<String, KeyState> = HashMap::new();
@@ -309,23 +308,36 @@ impl ModelStore {
                 let Some(lg) = state.last_good else {
                     return Err(first_err);
                 };
-                // Roll back: last-good becomes current, durably.
-                let rolled = KeyState {
-                    current: lg,
-                    last_good: None,
-                };
-                shard.index.insert(key.to_string(), rolled);
-                pack::append_index_log(
-                    &shard.dir,
-                    &LogRecord::Rollback {
-                        key: key.to_string(),
-                    },
-                    shard.packs.faults(),
-                )?;
-                self.rollbacks.fetch_add(1, Ordering::Relaxed);
+                self.roll_back(&mut shard, key, lg)?;
                 self.decode_into_hot(&mut shard, key, lg)
             }
         }
+    }
+
+    /// Makes `key`'s last-good image current, durably — the rollback of
+    /// both [`ModelStore::get`] and [`ModelStore::audit`] — and drops the
+    /// key's hot decode.
+    fn roll_back(
+        &self,
+        shard: &mut Shard,
+        key: &str,
+        last_good: ImageRef,
+    ) -> Result<(), StoreError> {
+        let rolled = KeyState {
+            current: last_good,
+            last_good: None,
+        };
+        shard.index.insert(key.to_string(), rolled);
+        pack::append_index_log(
+            &shard.dir,
+            &LogRecord::Rollback {
+                key: key.to_string(),
+            },
+            shard.packs.faults(),
+        )?;
+        shard.hot.remove(key);
+        self.rollbacks.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Reads, decodes, and caches one image. Shared by the fresh-load and
@@ -352,10 +364,7 @@ impl ModelStore {
     /// the key's last-good fallback.
     pub fn publish_full(&self, key: &str, bytes: &[u8]) -> Result<ModelMeta, StoreError> {
         validate_key(key)?;
-        // Full (eager) validation — publish is the trust boundary; the
-        // lazy CRC path on reads exists because this already ran.
-        let bundle = ModelBundle::from_bytes(bytes).map_err(StoreError::Bundle)?;
-        bundle.run_canary().map_err(StoreError::Canary)?;
+        let bundle = canary_checked(bytes)?;
         self.publishes.fetch_add(1, Ordering::Relaxed);
         let mut shard = lock_shard(self.shard_for(key));
         self.admit(&mut shard, key, bytes, &bundle)
@@ -380,8 +389,7 @@ impl ModelStore {
         }
         let base = shard.packs.read(state.current.loc)?.into_owned();
         let patched = delta.apply(&base)?;
-        let bundle = ModelBundle::from_bytes(&patched).map_err(StoreError::Bundle)?;
-        bundle.run_canary().map_err(StoreError::Canary)?;
+        let bundle = canary_checked(&patched)?;
         self.delta_publishes.fetch_add(1, Ordering::Relaxed);
         self.admit(&mut shard, key, &patched, &bundle)
     }
@@ -440,20 +448,15 @@ impl ModelStore {
         // The old decode (if hot) keeps serving for whoever pinned its
         // Arc; later gets decode the new image.
         shard.hot.remove(key);
-        let cfg = bundle.model().config();
-        Ok(ModelMeta {
-            name: key.to_string(),
+        let canary_rows = bundle.canary_len();
+        Ok(ModelMeta::new(
+            key,
             version,
-            hash: format!("{hash:016x}"),
-            bytes: bytes.len(),
-            input_dim: bundle.num_features(),
-            dim: cfg.dim,
-            models: cfg.models,
-            cluster_mode: cfg.cluster_mode.label(),
-            prediction_mode: cfg.prediction_mode.label(),
-            canary_rows: bundle.canary_len(),
-            mem: bundle.approx_mem_bytes(),
-        })
+            hash,
+            bytes.len(),
+            canary_rows,
+            bundle,
+        ))
     }
 
     /// Fully validates `key`'s current image — the **first touch** of the
@@ -478,22 +481,7 @@ impl ModelStore {
             Err(msg) => {
                 self.decode_failures.fetch_add(1, Ordering::Relaxed);
                 if let Some(lg) = state.last_good {
-                    shard.index.insert(
-                        key.to_string(),
-                        KeyState {
-                            current: lg,
-                            last_good: None,
-                        },
-                    );
-                    pack::append_index_log(
-                        &shard.dir,
-                        &LogRecord::Rollback {
-                            key: key.to_string(),
-                        },
-                        shard.packs.faults(),
-                    )?;
-                    shard.hot.remove(key);
-                    self.rollbacks.fetch_add(1, Ordering::Relaxed);
+                    self.roll_back(&mut shard, key, lg)?;
                 }
                 Err(StoreError::Corrupt(msg))
             }
@@ -508,8 +496,7 @@ impl ModelStore {
     /// scale*, not durable state.
     pub fn bulk_alias(&self, prefix: &str, count: usize, bytes: &[u8]) -> Result<(), StoreError> {
         validate_key(prefix)?;
-        let bundle = ModelBundle::from_bytes(bytes).map_err(StoreError::Bundle)?;
-        bundle.run_canary().map_err(StoreError::Canary)?;
+        canary_checked(bytes)?;
         let mut locs = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             let mut s = lock_shard(shard);
@@ -674,9 +661,9 @@ impl ModelResolver for ModelStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use encoding::EncoderSpec;
     use reghd::config::RegHdConfig;
     use reghd::{RegHdRegressor, Regressor};
+    use reghd_serve::bundle::encoder_spec;
 
     fn tmp_root(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("reghd_store_store_{name}"));
@@ -690,17 +677,13 @@ mod tests {
             .map(|i| vec![i as f32 / 25.0, (i % 4) as f32])
             .collect();
         let ys: Vec<f32> = rows.iter().map(|r| 1.5 * r[0] + r[1]).collect();
-        let spec = EncoderSpec::Nonlinear {
-            input_dim: 2,
-            dim: 128,
-            seed: seed ^ 0xC11,
-        };
         let cfg = RegHdConfig::builder()
             .dim(128)
             .models(2)
             .seed(seed)
             .max_epochs(3)
             .build();
+        let spec = encoder_spec(2, &cfg);
         let mut model = RegHdRegressor::new(cfg, spec.build());
         model.fit(&rows, &ys);
         ModelBundle::from_trained(model, vec![0.0; 2], vec![1.0; 2], 0.0, 1.0, &rows).unwrap()
@@ -835,6 +818,29 @@ mod tests {
     }
 
     #[test]
+    fn v1_image_publishes_serves_and_audits_clean() {
+        // The legacy layout: the v2 image's scalers and model payloads
+        // inline, with no checksums and no canary section.
+        let v2 = bundle(25).to_bytes().unwrap();
+        let frames = SectionFrames::parse(&v2).unwrap();
+        let mut v1 = b"RGCL".to_vec();
+        v1.extend(1u16.to_le_bytes());
+        v1.extend(frames.scalers().unwrap());
+        v1.extend(frames.model().unwrap());
+
+        let root = tmp_root("v1_audit");
+        let store = ModelStore::open(&root, one_shard(64 << 20)).unwrap();
+        store.publish_full("u", &v1).unwrap();
+        let served = store.get("u").unwrap();
+        assert_eq!(served.meta.canary_rows, 0);
+        store.audit("u").unwrap();
+        let st = store.stats();
+        assert_eq!(st.decode_failures, 0);
+        assert_eq!(st.rollbacks, 0);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn corrupt_model_section_rolls_back_on_get() {
         let root = tmp_root("model_rot");
         let v1 = bundle(30).to_bytes().unwrap();
@@ -921,6 +927,31 @@ mod tests {
     }
 
     #[test]
+    fn mid_log_corruption_fails_open_and_leaves_the_log_alone() {
+        let root = tmp_root("mid_log_corruption");
+        let bytes = bundle(49).to_bytes().unwrap();
+        {
+            let store = ModelStore::open(&root, one_shard(64 << 20)).unwrap();
+            for key in ["a", "b", "c"] {
+                store.publish_full(key, &bytes).unwrap();
+            }
+        }
+        let log = root.join("shard-0").join("index.log");
+        let text = std::fs::read_to_string(&log).unwrap();
+        let flipped = text.replacen("put b", "pux b", 1);
+        std::fs::write(&log, &flipped).unwrap();
+        // Replaying the prefix would drop `b` and `c` for good once open
+        // rewrote the log; the corruption must surface instead.
+        let err = ModelStore::open(&root, one_shard(64 << 20)).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
+            "got {err}"
+        );
+        assert_eq!(std::fs::read_to_string(&log).unwrap(), flipped);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn transient_read_error_does_not_roll_back() {
         use std::io::Write;
         let root = tmp_root("io_no_rollback");
@@ -972,14 +1003,9 @@ mod tests {
             *v += 0.5;
         }
         clusters[0] = hdc::RealHv::from_vec(c0);
-        let spec = EncoderSpec::Nonlinear {
-            input_dim: 2,
-            dim: cfg.dim,
-            seed: cfg.seed ^ 0xC11,
-        };
         let patched = RegHdRegressor::from_parts(
             cfg,
-            spec.build(),
+            next.spec().build(),
             clusters,
             model.models().integer_models().to_vec(),
             model.center().cloned(),

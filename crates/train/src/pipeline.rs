@@ -35,6 +35,7 @@ use crate::source::SampleSource;
 use encoding::EncoderSpec;
 use reghd::config::RegHdConfig;
 use reghd::{persist, OnlineRegHd};
+use reghd_serve::bundle::encoder_spec;
 use reghd_serve::registry::ModelRegistry;
 use reghd_serve::status::TrainStatus;
 use reghd_serve::ModelBundle;
@@ -108,8 +109,8 @@ pub struct TrainerConfig {
     pub dim: usize,
     /// Cluster/model pairs `k`.
     pub models: usize,
-    /// Master seed (the encoder derives its seed as `seed ^ 0xC11`, the
-    /// bundle-format convention).
+    /// Master seed (the encoder is [`reghd_serve::bundle::encoder_spec`]
+    /// of the model config built from it).
     pub seed: u64,
     /// Stop after this many samples (`None`: run until the source ends).
     pub max_samples: Option<u64>,
@@ -203,24 +204,20 @@ pub struct Trainer {
 }
 
 impl Trainer {
-    /// Builds a trainer for `input_dim`-wide samples. The encoder follows
-    /// the bundle-format convention (`Nonlinear`, seed `cfg.seed ^ 0xC11`)
-    /// so published checkpoints re-derive their encoder correctly on load.
+    /// Builds a trainer for `input_dim`-wide samples. The encoder is the
+    /// bundle convention's ([`reghd_serve::bundle::encoder_spec`]), the spec
+    /// [`ModelBundle::from_trained`] records in every checkpoint.
     ///
     /// # Panics
     ///
     /// Panics when the derived [`RegHdConfig`] is invalid (zero dim/models).
     pub fn new(cfg: TrainerConfig, input_dim: usize) -> Self {
-        let spec = EncoderSpec::Nonlinear {
-            input_dim,
-            dim: cfg.dim,
-            seed: cfg.seed ^ 0xC11,
-        };
         let model_cfg = RegHdConfig::builder()
             .dim(cfg.dim)
             .models(cfg.models)
             .seed(cfg.seed)
             .build();
+        let spec = encoder_spec(input_dim, &model_cfg);
         let model = OnlineRegHd::new(model_cfg, spec.build());
         Self {
             cfg,
@@ -243,17 +240,21 @@ impl Trainer {
     /// training cursor (samples seen, prequential EWMA, per-cluster errors)
     /// carries over bit-exactly.
     ///
+    /// The trainer keeps the encoder spec the checkpoint carries.
+    ///
     /// # Errors
     ///
     /// Propagates `reghd::persist` errors as strings; additionally rejects
-    /// a checkpoint whose feature width disagrees with `input_dim`.
+    /// a checkpoint whose feature width disagrees with `input_dim`, and one
+    /// whose shape disagrees with `cfg`.
     pub fn resume(cfg: TrainerConfig, input_dim: usize, path: &str) -> Result<Self, String> {
-        let model = persist::load_online_from_file(path).map_err(|e| e.to_string())?;
-        let spec = EncoderSpec::Nonlinear {
-            input_dim,
-            dim: model.config().dim,
-            seed: model.config().seed ^ 0xC11,
-        };
+        let (model, spec) = persist::load_online_from_file(path).map_err(|e| e.to_string())?;
+        if spec.input_dim() != input_dim {
+            return Err(format!(
+                "checkpoint encodes {} features, the source has {input_dim}",
+                spec.input_dim()
+            ));
+        }
         let mut t = Self::new(cfg, input_dim);
         if model.config().dim != t.cfg.dim || model.config().models != t.cfg.models {
             return Err(format!(
@@ -324,10 +325,7 @@ impl Trainer {
     pub fn run(&mut self, source: &mut dyn SampleSource) -> Result<TrainReport, String> {
         debug_assert_eq!(
             source.num_features(),
-            match self.spec {
-                EncoderSpec::Nonlinear { input_dim, .. } => input_dim,
-                _ => unreachable!("trainer always builds a Nonlinear spec"),
-            },
+            self.spec.input_dim(),
             "source width must match the trainer's encoder"
         );
         while self
@@ -442,10 +440,7 @@ impl Trainer {
         // Streaming has no precomputed dataset statistics: the bundle
         // carries identity scalers and the model consumes raw units.
         let snapshot = self.model.snapshot(&self.spec);
-        let input_dim = match self.spec {
-            EncoderSpec::Nonlinear { input_dim, .. } => input_dim,
-            _ => unreachable!("trainer always builds a Nonlinear spec"),
-        };
+        let input_dim = self.spec.input_dim();
         let canary_rows: Vec<Vec<f32>> = self.recent.iter().cloned().collect();
         let bundle = ModelBundle::from_trained(
             snapshot,
@@ -801,6 +796,32 @@ mod tests {
             Ok(_) => panic!("shape mismatch must be rejected"),
         };
         assert!(err.contains("disagrees"), "err: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_of_another_width() {
+        let dir = std::env::temp_dir().join("reghd_train_resume_width_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut src = drift_source(DriftKind::Abrupt, 1_000_000, 8);
+        let cfg = TrainerConfig {
+            max_samples: Some(100),
+            checkpoint_every: Some(100),
+            checkpoint_dir: Some(dir.clone()),
+            ..small_cfg()
+        };
+        Trainer::new(cfg, 3).run(&mut src).unwrap();
+        let path = dir.join("resume.rghd");
+        // A 4-feature source against a 3-feature checkpoint: refused up
+        // front, not a panic on the first sample of `run`.
+        let err = match Trainer::resume(small_cfg(), 4, path.to_str().unwrap()) {
+            Err(e) => e,
+            Ok(_) => panic!("width mismatch must be rejected"),
+        };
+        assert!(
+            err.contains("3 features") && err.contains("has 4"),
+            "err: {err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
