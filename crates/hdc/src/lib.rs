@@ -60,6 +60,7 @@ pub mod quant;
 pub mod rng;
 pub mod simd;
 pub mod similarity;
+pub mod wire;
 
 pub use binary::BinaryHv;
 pub use bipolar::BipolarHv;

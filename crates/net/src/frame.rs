@@ -12,6 +12,11 @@
 //! Requests on one connection may be pipelined arbitrarily deep, and
 //! replies may come back in any order — the `req_id` is the correlation
 //! key. See `docs/PROTOCOL.md` for the full specification.
+//!
+//! The decoders read through [`hdc::wire::Reader`], so an announced count
+//! is checked against the bytes behind it before anything is allocated.
+
+use hdc::wire::Reader;
 
 /// Request opcodes.
 pub mod opcode {
@@ -176,31 +181,28 @@ impl FrameBuf {
 
     /// Attempts to decode the next frame, honouring `max_frame`.
     pub fn next_frame(&mut self, max_frame: u32) -> Step {
-        let avail = &self.data[self.start..];
-        if avail.len() < 4 {
+        let mut r = Reader::new(&self.data[self.start..]);
+        let Ok(len) = r.u32() else {
             return Step::Incomplete;
-        }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]);
+        };
         if (len as usize) < HEADER_AFTER_LEN {
             return Step::Violation("frame length below header size");
         }
         if len > max_frame {
             return Step::Violation("frame exceeds maximum size");
         }
-        let total = 4 + len as usize;
-        if avail.len() < total {
+        let payload_len = len as usize - HEADER_AFTER_LEN;
+        let (Ok(kind), Ok(req_id), Ok(payload)) = (r.u8(), r.u64(), r.bytes(payload_len)) else {
             return Step::Incomplete;
-        }
-        let kind = avail[4];
-        let req_id = u64::from_le_bytes(avail[5..13].try_into().expect("8 header bytes"));
-        let payload = avail[13..total].to_vec();
-        self.start += total;
-        self.compact();
-        Step::Ready(Frame {
+        };
+        let frame = Frame {
             kind,
             req_id,
-            payload,
-        })
+            payload: payload.to_vec(),
+        };
+        self.start += 4 + len as usize;
+        self.compact();
+        Step::Ready(frame)
     }
 }
 
@@ -298,44 +300,31 @@ pub struct PredictBatchReq<'a> {
     pub tier: PredictionTier,
 }
 
-/// Splits an optional trailing tier byte off the feature bytes: exactly
-/// `expect` bytes means no tier byte (`Full`), `expect + 1` means the last
-/// byte is the tier. Anything else is a malformed payload.
-fn take_tier(bytes: &[u8], expect: usize) -> Result<(&[u8], PredictionTier), &'static str> {
-    if bytes.len() == expect {
-        Ok((bytes, PredictionTier::Full))
-    } else if bytes.len() == expect + 1 {
-        let tier = PredictionTier::from_wire_byte(bytes[expect])?;
-        Ok((&bytes[..expect], tier))
-    } else {
-        Err("feature bytes do not match announced count")
-    }
-}
+/// The refusal of feature bytes that disagree with the announced count.
+const COUNT_MISMATCH: &str = "feature bytes do not match announced count";
 
-fn take_name(payload: &[u8]) -> Result<(&str, &[u8]), &'static str> {
-    if payload.len() < 2 {
-        return Err("payload truncated before name length");
-    }
-    let name_len = u16::from_le_bytes([payload[0], payload[1]]) as usize;
-    if name_len == 0 {
+/// The `u16 name_len | name` prefix of both predict payloads.
+fn read_name<'a>(r: &mut Reader<'a>) -> Result<&'a str, &'static str> {
+    let len = r
+        .u16()
+        .map_err(|_| "payload truncated before name length")?;
+    if len == 0 {
         return Err("empty model name");
     }
-    let rest = &payload[2..];
-    if rest.len() < name_len {
-        return Err("payload truncated inside name");
-    }
-    let name = std::str::from_utf8(&rest[..name_len]).map_err(|_| "model name not UTF-8")?;
-    Ok((name, &rest[name_len..]))
+    let name = r
+        .bytes(len.into())
+        .map_err(|_| "payload truncated inside name")?;
+    std::str::from_utf8(name).map_err(|_| "model name not UTF-8")
 }
 
-fn take_f32s(bytes: &[u8], n: usize) -> Result<Vec<f32>, &'static str> {
-    if bytes.len() != n * 4 {
-        return Err("feature bytes do not match announced count");
+/// The optional tier byte that may follow the features: none means
+/// `Full`, one byte names the tier, and more is a malformed payload.
+fn read_tier(mut r: Reader<'_>) -> Result<PredictionTier, &'static str> {
+    match r.remaining() {
+        0 => Ok(PredictionTier::Full),
+        1 => PredictionTier::from_wire_byte(r.u8().map_err(|_| COUNT_MISMATCH)?),
+        _ => Err(COUNT_MISMATCH),
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
 }
 
 /// Parses a `predict` payload.
@@ -344,16 +333,16 @@ fn take_f32s(bytes: &[u8], n: usize) -> Result<Vec<f32>, &'static str> {
 ///
 /// A static description of the malformation, rendered into an `ERR` reply.
 pub fn decode_predict(payload: &[u8]) -> Result<PredictReq<'_>, &'static str> {
-    let (model, rest) = take_name(payload)?;
-    if rest.len() < 4 {
-        return Err("payload truncated before feature count");
-    }
-    let n = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+    let mut r = Reader::new(payload);
+    let model = read_name(&mut r)?;
+    let n = r
+        .u32()
+        .map_err(|_| "payload truncated before feature count")?;
     if n == 0 {
         return Err("empty feature row");
     }
-    let (feat, tier) = take_tier(&rest[4..], n * 4)?;
-    let row = take_f32s(feat, n)?;
+    let row = r.f32s(n as usize).map_err(|_| COUNT_MISMATCH)?;
+    let tier = read_tier(r)?;
     Ok(PredictReq { model, row, tier })
 }
 
@@ -363,18 +352,18 @@ pub fn decode_predict(payload: &[u8]) -> Result<PredictReq<'_>, &'static str> {
 ///
 /// A static description of the malformation, rendered into an `ERR` reply.
 pub fn decode_predict_batch(payload: &[u8]) -> Result<PredictBatchReq<'_>, &'static str> {
-    let (model, rest) = take_name(payload)?;
-    if rest.len() < 8 {
+    let mut r = Reader::new(payload);
+    let model = read_name(&mut r)?;
+    let (Ok(rows), Ok(cols)) = (r.u32(), r.u32()) else {
         return Err("payload truncated before batch dimensions");
-    }
-    let rows = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-    let cols = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
+    };
+    let (rows, cols) = (rows as usize, cols as usize);
     if rows == 0 || cols == 0 {
         return Err("empty batch");
     }
     let n = rows.checked_mul(cols).ok_or("batch size overflow")?;
-    let (feat, tier) = take_tier(&rest[8..], n.checked_mul(4).ok_or("batch size overflow")?)?;
-    let flat = take_f32s(feat, n)?;
+    let flat = r.f32s(n).map_err(|_| COUNT_MISMATCH)?;
+    let tier = read_tier(r)?;
     Ok(PredictBatchReq {
         model,
         rows: flat.chunks_exact(cols).map(<[f32]>::to_vec).collect(),
@@ -417,18 +406,18 @@ pub fn encode_batch_reply(out: &mut Vec<u8>, req_id: u64, rows: &[(u8, f32)]) {
 ///
 /// A static description of the malformation.
 pub fn decode_batch_reply(payload: &[u8]) -> Result<Vec<(u8, f32)>, &'static str> {
-    if payload.len() < 4 {
-        return Err("batch reply truncated before row count");
+    const MISMATCH: &str = "batch reply rows do not match announced count";
+    let mut r = Reader::new(payload);
+    let n = r
+        .u32()
+        .map_err(|_| "batch reply truncated before row count")? as usize;
+    if n.checked_mul(5) != Some(r.remaining()) {
+        return Err(MISMATCH);
     }
-    let n = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
-    let rest = &payload[4..];
-    if rest.len() != n * 5 {
-        return Err("batch reply rows do not match announced count");
-    }
-    Ok(rest
-        .chunks_exact(5)
-        .map(|c| (c[0], f32::from_le_bytes([c[1], c[2], c[3], c[4]])))
-        .collect())
+    (0..n)
+        .map(|_| Ok((r.u8()?, r.f32()?)))
+        .collect::<Result<_, hdc::wire::WireError>>()
+        .map_err(|_| MISMATCH)
 }
 
 /// Parses an f32 value reply payload.
@@ -437,10 +426,11 @@ pub fn decode_batch_reply(payload: &[u8]) -> Result<Vec<(u8, f32)>, &'static str
 ///
 /// A static description of the malformation.
 pub fn decode_value_reply(payload: &[u8]) -> Result<f32, &'static str> {
-    let bytes: [u8; 4] = payload
-        .try_into()
-        .map_err(|_| "value reply must be 4 bytes")?;
-    Ok(f32::from_le_bytes(bytes))
+    let mut r = Reader::new(payload);
+    match (r.f32(), r.finish()) {
+        (Ok(value), Ok(())) => Ok(value),
+        _ => Err("value reply must be 4 bytes"),
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //! original in every quantisation mode.
 //!
 //! Format (little-endian): magic `RGHD`, version, config block, encoder
-//! spec block, learned-state block.
+//! spec block, learned-state block. Loading decodes a byte slice through
+//! [`hdc::wire::Reader`]: no count sizes a buffer before its bytes are
+//! there, and an accepted file holds no byte [`save`] would not write.
 //!
 //! ```
 //! use reghd::{RegHdRegressor, Regressor, config::RegHdConfig, persist};
@@ -24,7 +26,7 @@
 //!
 //! let mut buf = Vec::new();
 //! persist::save(&model, &spec, &mut buf)?;
-//! let (loaded, loaded_spec) = persist::load(&mut buf.as_slice())?;
+//! let (loaded, loaded_spec) = persist::load(&buf)?;
 //! assert_eq!(loaded_spec, spec);
 //! assert_eq!(loaded.predict_one(&[0.5, -0.5]), model.predict_one(&[0.5, -0.5]));
 //! # Ok::<(), reghd::persist::PersistError>(())
@@ -35,10 +37,11 @@ use crate::config::{ClusterMode, PredictionMode, RegHdConfig, UpdateRule};
 use crate::model::RegHdRegressor;
 use crate::online::OnlineRegHd;
 use encoding::EncoderSpec;
+use hdc::wire::{Reader, WireError};
 use hdc::RealHv;
 use std::error::Error;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"RGHD";
@@ -58,6 +61,15 @@ pub enum PersistError {
     /// The stream is not a RegHD model file, or is from an unsupported
     /// version, or is structurally inconsistent.
     Format(String),
+    /// The file's encoder expects `encoded` input features, but the caller
+    /// feeds `expected` ([`load_for`], [`load_online_for`]). Refused before
+    /// the encoder is built.
+    Width {
+        /// The encoder spec's input width.
+        encoded: usize,
+        /// The width the caller's rows have.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -65,6 +77,12 @@ impl fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "i/o error: {e}"),
             PersistError::Format(m) => write!(f, "malformed model file: {m}"),
+            PersistError::Width { encoded, expected } => {
+                write!(
+                    f,
+                    "model encodes {encoded} features, the data has {expected}"
+                )
+            }
         }
     }
 }
@@ -73,7 +91,7 @@ impl Error for PersistError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             PersistError::Io(e) => Some(e),
-            PersistError::Format(_) => None,
+            PersistError::Format(_) | PersistError::Width { .. } => None,
         }
     }
 }
@@ -81,6 +99,17 @@ impl Error for PersistError {
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         PersistError::Io(e)
+    }
+}
+
+/// A file that ends early is an unexpected end of file, as it was when
+/// loads read from a stream; every other refusal is a format error.
+impl From<WireError> for PersistError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => PersistError::Io(std::io::ErrorKind::UnexpectedEof.into()),
+            e => PersistError::Format(e.to_string()),
+        }
     }
 }
 
@@ -109,41 +138,6 @@ fn w_f64<W: Write>(w: &mut W, v: f64) -> Result<(), PersistError> {
     Ok(())
 }
 
-fn r_u8<R: Read>(r: &mut R) -> Result<u8, PersistError> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-fn r_u16<R: Read>(r: &mut R) -> Result<u16, PersistError> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn r_u64<R: Read>(r: &mut R) -> Result<u64, PersistError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn r_f32<R: Read>(r: &mut R) -> Result<f32, PersistError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-fn r_f64<R: Read>(r: &mut R) -> Result<f64, PersistError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
-}
-
-fn r_usize<R: Read>(r: &mut R, what: &str) -> Result<usize, PersistError> {
-    let v = r_u64(r)?;
-    usize::try_from(v).map_err(|_| PersistError::Format(format!("{what} out of range: {v}")))
-}
-
 fn w_hv<W: Write>(w: &mut W, hv: &RealHv) -> Result<(), PersistError> {
     w_u64(w, hv.dim() as u64)?;
     for &v in hv.as_slice() {
@@ -152,21 +146,14 @@ fn w_hv<W: Write>(w: &mut W, hv: &RealHv) -> Result<(), PersistError> {
     Ok(())
 }
 
-fn r_hv<R: Read>(r: &mut R, expect_dim: usize) -> Result<RealHv, PersistError> {
-    let dim = r_usize(r, "hypervector dim")?;
+fn r_hv(r: &mut Reader, expect_dim: usize) -> Result<RealHv, PersistError> {
+    let dim = r.usize()?;
     if dim != expect_dim {
         return Err(PersistError::Format(format!(
             "hypervector dim {dim} does not match config dim {expect_dim}"
         )));
     }
-    if dim > MAX_SPEC_CELLS {
-        return Err(PersistError::Format(format!("implausible dim {dim}")));
-    }
-    let mut data = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        data.push(r_f32(r)?);
-    }
-    Ok(RealHv::from_vec(data))
+    Ok(RealHv::from_vec(r.f32s(dim)?))
 }
 
 fn cluster_mode_tag(m: ClusterMode) -> u8 {
@@ -268,31 +255,31 @@ fn write_spec<W: Write>(w: &mut W, spec: &EncoderSpec) -> Result<(), PersistErro
     Ok(())
 }
 
-fn read_spec<R: Read>(r: &mut R) -> Result<EncoderSpec, PersistError> {
-    let tag = r_u8(r)?;
+fn read_spec(r: &mut Reader) -> Result<EncoderSpec, PersistError> {
+    let tag = r.u8()?;
     Ok(match tag {
         0 => EncoderSpec::Nonlinear {
-            input_dim: r_usize(r, "input_dim")?,
-            dim: r_usize(r, "dim")?,
-            seed: r_u64(r)?,
+            input_dim: r.usize()?,
+            dim: r.usize()?,
+            seed: r.u64()?,
         },
         1 => EncoderSpec::Rff {
-            input_dim: r_usize(r, "input_dim")?,
-            dim: r_usize(r, "dim")?,
-            bandwidth: r_f32(r)?,
-            seed: r_u64(r)?,
+            input_dim: r.usize()?,
+            dim: r.usize()?,
+            bandwidth: r.f32()?,
+            seed: r.u64()?,
         },
         2 => EncoderSpec::Projection {
-            input_dim: r_usize(r, "input_dim")?,
-            dim: r_usize(r, "dim")?,
-            seed: r_u64(r)?,
+            input_dim: r.usize()?,
+            dim: r.usize()?,
+            seed: r.u64()?,
         },
         3 => EncoderSpec::IdLevel {
-            input_dim: r_usize(r, "input_dim")?,
-            dim: r_usize(r, "dim")?,
-            levels: r_usize(r, "levels")?,
-            range: (r_f32(r)?, r_f32(r)?),
-            seed: r_u64(r)?,
+            input_dim: r.usize()?,
+            dim: r.usize()?,
+            levels: r.usize()?,
+            range: (r.f32()?, r.f32()?),
+            seed: r.u64()?,
         },
         _ => return Err(PersistError::Format(format!("bad encoder tag {tag}"))),
     })
@@ -318,38 +305,38 @@ fn write_config<W: Write>(w: &mut W, cfg: &RegHdConfig) -> Result<(), PersistErr
     Ok(())
 }
 
-fn read_config<R: Read>(r: &mut R) -> Result<RegHdConfig, PersistError> {
+fn read_config(r: &mut Reader) -> Result<RegHdConfig, PersistError> {
     let cfg = RegHdConfig {
-        dim: r_usize(r, "dim")?,
-        models: r_usize(r, "models")?,
-        learning_rate: r_f32(r)?,
-        max_epochs: r_usize(r, "max_epochs")?,
-        min_epochs: r_usize(r, "min_epochs")?,
-        convergence_tol: r_f32(r)?,
-        patience: r_usize(r, "patience")?,
-        softmax_beta: r_f32(r)?,
-        quantize_batch: r_usize(r, "quantize_batch")?,
-        cluster_mode: cluster_mode_from(r_u8(r)?)?,
-        prediction_mode: pred_mode_from(r_u8(r)?)?,
-        update_rule: update_rule_from(r_u8(r)?)?,
-        normalize_encodings: r_u8(r)? != 0,
-        center_encodings: r_u8(r)? != 0,
-        intercept: r_u8(r)? != 0,
-        seed: r_u64(r)?,
+        dim: r.usize()?,
+        models: r.usize()?,
+        learning_rate: r.f32()?,
+        max_epochs: r.usize()?,
+        min_epochs: r.usize()?,
+        convergence_tol: r.f32()?,
+        patience: r.usize()?,
+        softmax_beta: r.f32()?,
+        quantize_batch: r.usize()?,
+        cluster_mode: cluster_mode_from(r.u8()?)?,
+        prediction_mode: pred_mode_from(r.u8()?)?,
+        update_rule: update_rule_from(r.u8()?)?,
+        normalize_encodings: r.flag()?,
+        center_encodings: r.flag()?,
+        intercept: r.flag()?,
+        seed: r.u64()?,
     };
     cfg.validate().map_err(PersistError::Format)?;
-    // The loaders size buffers by `models`, so the count must be in range
-    // before anything is allocated for it.
     check_cells("model count:", cfg.models, cfg.dim)?;
     Ok(cfg)
 }
 
 /// Most cells a persisted file may ask the loader to materialise in one
 /// table: `input_dim × dim` projection weights or `levels × dim`
-/// level-chain components of the encoder the spec builds, `models × dim`
-/// components of one learned bank, or one hypervector's `dim` ([`r_hv`]).
-/// These fields are read from the stream, and a section CRC is a
-/// checksum, not a MAC, so they must be in range before anything is built.
+/// level-chain components of the encoder the spec builds, or `models ×
+/// dim` components of one learned bank. The encoder's tables are derived
+/// from spec integers, not read, so no byte count bounds them; the banks
+/// are read, so the reader also refuses them unless their bytes are there.
+/// A section CRC is a checksum, not a MAC, so these fields must be in
+/// range before anything is built.
 const MAX_SPEC_CELLS: usize = 1 << 28;
 
 /// Refuses a `rows × dim` table beyond [`MAX_SPEC_CELLS`] (or an empty
@@ -363,7 +350,7 @@ fn check_cells(what: &str, rows: usize, dim: usize) -> Result<(), PersistError> 
     }
 }
 
-fn read_spec_checked<R: Read>(r: &mut R, dim: usize) -> Result<EncoderSpec, PersistError> {
+fn read_spec_checked(r: &mut Reader, dim: usize) -> Result<EncoderSpec, PersistError> {
     let spec = read_spec(r)?;
     if spec.dim() != dim {
         return Err(PersistError::Format(format!(
@@ -389,14 +376,40 @@ fn read_spec_checked<R: Read>(r: &mut R, dim: usize) -> Result<EncoderSpec, Pers
     }
 }
 
-/// Checks the magic and reads the format version.
-fn read_version<R: Read>(r: &mut R) -> Result<u16, PersistError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+/// Checks the magic and the version, and returns the kind of model the
+/// file holds: version 1 files hold batch models, version 2 files say.
+fn read_kind(r: &mut Reader) -> Result<u8, PersistError> {
+    if r.bytes(4)? != MAGIC {
         return Err(PersistError::Format("bad magic".to_string()));
     }
-    r_u16(r)
+    match r.u16()? {
+        VERSION => Ok(KIND_BATCH),
+        VERSION_KINDED => match r.u8()? {
+            kind @ (KIND_BATCH | KIND_ONLINE) => Ok(kind),
+            kind => Err(PersistError::Format(format!("bad model kind {kind}"))),
+        },
+        version => Err(PersistError::Format(format!(
+            "unsupported version {version} (expected {VERSION} or {VERSION_KINDED})"
+        ))),
+    }
+}
+
+/// Reads the config and encoder spec blocks. When the caller knows the
+/// width of the rows it will feed (`input_dim`), a spec of another width
+/// is refused here, before anything is built from it.
+fn read_head(
+    r: &mut Reader,
+    input_dim: Option<usize>,
+) -> Result<(RegHdConfig, EncoderSpec), PersistError> {
+    let cfg = read_config(r)?;
+    let spec = read_spec_checked(r, cfg.dim)?;
+    match input_dim {
+        Some(expected) if expected != spec.input_dim() => Err(PersistError::Width {
+            encoded: spec.input_dim(),
+            expected,
+        }),
+        _ => Ok((cfg, spec)),
+    }
 }
 
 /// Writes the learned banks' integer copies: every cluster, then every
@@ -418,8 +431,8 @@ fn write_banks<W: Write>(
 
 /// Reads what [`write_banks`] wrote: `(clusters, models)`, `cfg.models`
 /// hypervectors of `cfg.dim` each.
-fn read_banks<R: Read>(
-    r: &mut R,
+fn read_banks(
+    r: &mut Reader,
     cfg: &RegHdConfig,
 ) -> Result<(Vec<RealHv>, Vec<RealHv>), PersistError> {
     let mut bank = || -> Result<Vec<RealHv>, PersistError> {
@@ -457,46 +470,53 @@ pub fn save<W: Write>(
     write_banks(w, model.clusters(), model.models())
 }
 
-/// Deserialises a model from any reader, together with the encoder spec
+/// Deserialises a model from its bytes, together with the encoder spec
 /// the file carries — the spec the returned model encodes with, and the
 /// one to pass back to [`save`].
 ///
 /// # Errors
 ///
-/// Returns [`PersistError::Format`] when the stream is not a valid model
-/// file (wrong magic/version, inconsistent shapes, bad enum tags) and
-/// [`PersistError::Io`] on read failure.
-pub fn load<R: Read>(r: &mut R) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
-    let version = read_version(r)?;
-    match version {
-        VERSION => {}
-        VERSION_KINDED => {
-            let kind = r_u8(r)?;
-            if kind == KIND_ONLINE {
-                return Err(PersistError::Format(
-                    "this file holds an online (streaming) model: use load_online".to_string(),
-                ));
-            }
-            if kind != KIND_BATCH {
-                return Err(PersistError::Format(format!("bad model kind {kind}")));
-            }
-        }
-        _ => {
-            return Err(PersistError::Format(format!(
-                "unsupported version {version} (expected {VERSION} or {VERSION_KINDED})"
-            )));
-        }
-    }
-    let cfg = read_config(r)?;
-    let spec = read_spec_checked(r, cfg.dim)?;
+/// Returns [`PersistError::Format`] when the bytes are not a valid model
+/// file (wrong magic/version, inconsistent shapes, bad enum tags or flags,
+/// trailing bytes) and [`PersistError::Io`] of kind `UnexpectedEof` when
+/// they end early.
+pub fn load(bytes: &[u8]) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
+    decode(bytes, None)
+}
 
-    let intercept = r_f32(r)?;
-    let center = if r_u8(r)? != 0 {
-        Some(r_hv(r, cfg.dim)?)
+/// [`load`] for a caller that will feed the model `input_dim`-wide rows:
+/// a file whose encoder expects another width is refused with
+/// [`PersistError::Width`] before that encoder is built.
+///
+/// # Errors
+///
+/// As [`load`], plus [`PersistError::Width`].
+pub fn load_for(
+    bytes: &[u8],
+    input_dim: usize,
+) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
+    decode(bytes, Some(input_dim))
+}
+
+fn decode(
+    bytes: &[u8],
+    input_dim: Option<usize>,
+) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
+    let mut r = Reader::new(bytes);
+    if read_kind(&mut r)? == KIND_ONLINE {
+        return Err(PersistError::Format(
+            "this file holds an online (streaming) model: use load_online".to_string(),
+        ));
+    }
+    let (cfg, spec) = read_head(&mut r, input_dim)?;
+    let intercept = r.f32()?;
+    let center = if r.flag()? {
+        Some(r_hv(&mut r, cfg.dim)?)
     } else {
         None
     };
-    let (clusters, model_hvs) = read_banks(r, &cfg)?;
+    let (clusters, model_hvs) = read_banks(&mut r, &cfg)?;
+    r.finish()?;
     let model =
         RegHdRegressor::from_parts(cfg, spec.build(), clusters, model_hvs, center, intercept);
     Ok((model, spec))
@@ -524,8 +544,7 @@ pub fn save_to_file<P: AsRef<Path>>(
 pub fn load_from_file<P: AsRef<Path>>(
     path: P,
 ) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    load(&mut f)
+    load(&std::fs::read(path)?)
 }
 
 /// Serialises a streaming [`OnlineRegHd`] model to any writer.
@@ -567,37 +586,42 @@ pub fn save_online<W: Write>(
 ///
 /// # Errors
 ///
-/// Returns [`PersistError::Format`] when the stream is not a valid online
-/// model file (including batch files, which must go through [`load`]) and
-/// [`PersistError::Io`] on read failure.
-pub fn load_online<R: Read>(r: &mut R) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
-    let version = read_version(r)?;
-    if version == VERSION {
-        return Err(PersistError::Format(
-            "this file holds a batch model: use load".to_string(),
-        ));
-    }
-    if version != VERSION_KINDED {
-        return Err(PersistError::Format(format!(
-            "unsupported version {version} (expected {VERSION_KINDED})"
-        )));
-    }
-    let kind = r_u8(r)?;
-    if kind != KIND_ONLINE {
-        return Err(PersistError::Format(
-            "this file holds a batch model: use load".to_string(),
-        ));
-    }
-    let cfg = read_config(r)?;
-    let spec = read_spec_checked(r, cfg.dim)?;
+/// As [`load`]; batch files, which must go through [`load`], are format
+/// errors.
+pub fn load_online(bytes: &[u8]) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
+    decode_online(bytes, None)
+}
 
-    let intercept = r_f32(r)?;
-    let samples_seen = r_u64(r)?;
-    let ewma_sq_err = r_f64(r)?;
-    let cluster_err = (0..cfg.models)
-        .map(|_| r_f64(r))
-        .collect::<Result<_, _>>()?;
-    let (clusters, model_hvs) = read_banks(r, &cfg)?;
+/// [`load_online`] for a caller that will feed the model `input_dim`-wide
+/// rows (see [`load_for`]).
+///
+/// # Errors
+///
+/// As [`load_online`], plus [`PersistError::Width`].
+pub fn load_online_for(
+    bytes: &[u8],
+    input_dim: usize,
+) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
+    decode_online(bytes, Some(input_dim))
+}
+
+fn decode_online(
+    bytes: &[u8],
+    input_dim: Option<usize>,
+) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
+    let mut r = Reader::new(bytes);
+    if read_kind(&mut r)? == KIND_BATCH {
+        return Err(PersistError::Format(
+            "this file holds a batch model: use load".to_string(),
+        ));
+    }
+    let (cfg, spec) = read_head(&mut r, input_dim)?;
+    let intercept = r.f32()?;
+    let samples_seen = r.u64()?;
+    let ewma_sq_err = r.f64()?;
+    let cluster_err = r.f64s(cfg.models)?;
+    let (clusters, model_hvs) = read_banks(&mut r, &cfg)?;
+    r.finish()?;
     let model = OnlineRegHd::from_parts(
         cfg,
         spec.build(),
@@ -633,8 +657,7 @@ pub fn save_online_to_file<P: AsRef<Path>>(
 pub fn load_online_from_file<P: AsRef<Path>>(
     path: P,
 ) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    load_online(&mut f)
+    load_online(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -671,7 +694,7 @@ mod tests {
             let (model, spec, xs) = trained(pred);
             let mut buf = Vec::new();
             save(&model, &spec, &mut buf).unwrap();
-            let (loaded, loaded_spec) = load(&mut buf.as_slice()).unwrap();
+            let (loaded, loaded_spec) = load(&buf).unwrap();
             assert_eq!(loaded_spec, spec);
             for x in xs.iter().take(10) {
                 assert_eq!(
@@ -695,7 +718,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let err = load(&mut &b"NOPE\x01\x00"[..]).unwrap_err();
+        let err = load(b"NOPE\x01\x00").unwrap_err();
         assert!(matches!(err, PersistError::Format(_)));
         assert!(err.to_string().contains("magic"));
     }
@@ -705,7 +728,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&99u16.to_le_bytes());
-        let err = load(&mut buf.as_slice()).unwrap_err();
+        let err = load(&buf).unwrap_err();
         assert!(err.to_string().contains("version"));
     }
 
@@ -715,10 +738,77 @@ mod tests {
         let mut buf = Vec::new();
         save(&model, &spec, &mut buf).unwrap();
         buf.truncate(buf.len() / 2);
-        assert!(matches!(
-            load(&mut buf.as_slice()).unwrap_err(),
-            PersistError::Io(_)
-        ));
+        assert!(matches!(load(&buf).unwrap_err(), PersistError::Io(_)));
+    }
+
+    #[test]
+    fn rejects_trailing_bytes() {
+        // An accepted file re-encodes to itself, so nothing may follow
+        // the last hypervector.
+        let (model, spec, _) = trained(PredictionMode::Full);
+        let mut buf = Vec::new();
+        save(&model, &spec, &mut buf).unwrap();
+        buf.extend([0u8; 8]);
+        let err = load(&buf).unwrap_err();
+        assert!(err.to_string().contains("8 trailing bytes"), "err: {err}");
+        let (online, ospec, _) = streamed(8);
+        let mut buf = Vec::new();
+        save_online(&online, &ospec, &mut buf).unwrap();
+        buf.push(0);
+        let err = load_online(&buf).unwrap_err();
+        assert!(err.to_string().contains("1 trailing bytes"), "err: {err}");
+    }
+
+    #[test]
+    fn rejects_flag_bytes_other_than_zero_or_one() {
+        // The config's three flags follow its three enum tags (offsets
+        // 69–71 of a batch file, one later in a v2 online file, after the
+        // kind byte). A batch file's centre-present byte follows the
+        // 25-byte Nonlinear spec block and the intercept, at 109.
+        let (model, spec, _) = trained(PredictionMode::Full);
+        let mut batch = Vec::new();
+        save(&model, &spec, &mut batch).unwrap();
+        let (online, ospec, _) = streamed(8);
+        let mut stream = Vec::new();
+        save_online(&online, &ospec, &mut stream).unwrap();
+        let refused = |err: PersistError| matches!(&err, PersistError::Format(m) if m.contains("flag byte 7"));
+        for at in [69, 70, 71, 109] {
+            let mut buf = batch.clone();
+            assert!(buf[at] <= 1, "offset {at} holds a flag");
+            buf[at] = 7;
+            assert!(refused(load(&buf).unwrap_err()), "offset {at}");
+        }
+        for at in [70, 71, 72] {
+            let mut buf = stream.clone();
+            assert!(buf[at] <= 1, "offset {at} holds a flag");
+            buf[at] = 7;
+            assert!(refused(load_online(&buf).unwrap_err()), "offset {at}");
+        }
+    }
+
+    #[test]
+    fn width_is_checked_before_the_encoder_is_built() {
+        let (model, spec, _) = trained(PredictionMode::Full);
+        let mut buf = Vec::new();
+        save(&model, &spec, &mut buf).unwrap();
+        assert!(load_for(&buf, 3).is_ok());
+        let err = load_for(&buf, 4).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PersistError::Width {
+                    encoded: 3,
+                    expected: 4
+                }
+            ),
+            "err: {err}"
+        );
+        let (online, ospec, _) = streamed(8);
+        let mut buf = Vec::new();
+        save_online(&online, &ospec, &mut buf).unwrap();
+        assert!(load_online_for(&buf, 3).is_ok());
+        let err = load_online_for(&buf, 2).unwrap_err();
+        assert_eq!(err.to_string(), "model encodes 3 features, the data has 2");
     }
 
     #[test]
@@ -730,7 +820,7 @@ mod tests {
         // 4 magic + 2 version + 8 dim + 8 models + 4 lr + 8 max + 8 min +
         // 4 tol + 8 patience + 4 beta + 8 qbatch = 66.
         buf[66] = 200;
-        let err = load(&mut buf.as_slice()).unwrap_err();
+        let err = load(&buf).unwrap_err();
         assert!(err.to_string().contains("cluster mode"), "err: {err}");
     }
 
@@ -785,11 +875,11 @@ mod tests {
         for spec in &hostile {
             let mut buf = Vec::new();
             save(&model, spec, &mut buf).unwrap();
-            let err = load(&mut buf.as_slice()).unwrap_err();
+            let err = load(&buf).unwrap_err();
             assert!(matches!(err, PersistError::Format(_)), "{spec:?}: {err}");
             buf.clear();
             save_online(&online, spec, &mut buf).unwrap();
-            let err = load_online(&mut buf.as_slice()).unwrap_err();
+            let err = load_online(&buf).unwrap_err();
             assert!(matches!(err, PersistError::Format(_)), "{spec:?}: {err}");
         }
     }
@@ -809,13 +899,10 @@ mod tests {
         for models in [1u64 << 40, 1 << 61] {
             let mut buf = batch.clone();
             buf[14..22].copy_from_slice(&models.to_le_bytes());
-            assert!(refused(load(&mut buf.as_slice()).unwrap_err()), "{models}");
+            assert!(refused(load(&buf).unwrap_err()), "{models}");
             let mut buf = stream.clone();
             buf[15..23].copy_from_slice(&models.to_le_bytes());
-            assert!(
-                refused(load_online(&mut buf.as_slice()).unwrap_err()),
-                "{models}"
-            );
+            assert!(refused(load_online(&buf).unwrap_err()), "{models}");
         }
     }
 
@@ -824,7 +911,7 @@ mod tests {
         let (model, spec, _) = trained(PredictionMode::BinaryQuery);
         let mut buf = Vec::new();
         save(&model, &spec, &mut buf).unwrap();
-        let (loaded, _) = load(&mut buf.as_slice()).unwrap();
+        let (loaded, _) = load(&buf).unwrap();
         assert_eq!(loaded.config(), model.config());
         assert_eq!(loaded.intercept(), model.intercept());
     }
@@ -859,7 +946,7 @@ mod tests {
         model.quantize_now();
         let mut buf = Vec::new();
         save_online(&model, &spec, &mut buf).unwrap();
-        let (mut loaded, loaded_spec) = load_online(&mut buf.as_slice()).unwrap();
+        let (mut loaded, loaded_spec) = load_online(&buf).unwrap();
         assert_eq!(loaded_spec, spec);
 
         assert_eq!(loaded.samples_seen(), model.samples_seen());
@@ -894,13 +981,13 @@ mod tests {
         let (online, ospec, _) = streamed(30);
         let mut obuf = Vec::new();
         save_online(&online, &ospec, &mut obuf).unwrap();
-        let err = load(&mut obuf.as_slice()).unwrap_err();
+        let err = load(&obuf).unwrap_err();
         assert!(err.to_string().contains("load_online"), "err: {err}");
 
         let (batch, bspec, _) = trained(PredictionMode::Full);
         let mut bbuf = Vec::new();
         save(&batch, &bspec, &mut bbuf).unwrap();
-        let err = load_online(&mut bbuf.as_slice()).unwrap_err();
+        let err = load_online(&bbuf).unwrap_err();
         assert!(err.to_string().contains("batch model"), "err: {err}");
     }
 }

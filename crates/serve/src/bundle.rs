@@ -38,10 +38,15 @@ use datasets::normalize::{Standardizer, TargetScaler};
 use datasets::Dataset;
 use encoding::EncoderSpec;
 use hdc::rng::HdRng;
+use hdc::wire::{Crc32, Reader};
 use reghd::config::{ClusterMode, PredictionMode, RegHdConfig};
+use reghd::persist::{self, PersistError};
 use reghd::traits::FitReport;
-use reghd::{persist, RegHdRegressor, Regressor};
+use reghd::{RegHdRegressor, Regressor};
 use std::io::{Read, Write};
+
+/// The checksum written after each v2 section (see [`hdc::wire::crc32`]).
+pub use hdc::wire::crc32;
 
 const MAGIC: &[u8; 4] = b"RGCL";
 const VERSION: u16 = 2;
@@ -600,16 +605,23 @@ impl ModelBundle {
     ///
     /// v1 images (scalers and model blob inline, no checksums, no canary)
     /// have no section frames to skip and decode whole.
+    ///
+    /// The scalers are read first, so a model blob whose encoder expects
+    /// another feature count is refused before its encoder is built.
     pub fn decode_serving(bytes: &[u8]) -> Result<Self, String> {
-        let mut r: &[u8] = bytes;
-        let ((feat_means, feat_stds, target_mean, target_std), mut blob) =
-            if read_header(&mut r)? == 1 {
-                (read_scalers(&mut r)?, r)
-            } else {
-                let frames = SectionFrames::parse(bytes)?;
-                (decode_scalers_payload(frames.scalers()?)?, frames.model()?)
-            };
-        let (model, spec) = persist::load(&mut blob).map_err(|e| e.to_string())?;
+        let mut r = Reader::new(bytes);
+        let (scalers, blob) = if read_header(&mut r)? == 1 {
+            (read_scalers(&mut r)?, r.bytes(r.remaining())?)
+        } else {
+            let frames = SectionFrames::parse(bytes)?;
+            (decode_scalers_payload(frames.scalers()?)?, frames.model()?)
+        };
+        let (feat_means, feat_stds, target_mean, target_std) = scalers;
+        let n = feat_means.len();
+        let (model, spec) = persist::load_for(blob, n).map_err(|e| match e {
+            PersistError::Width { encoded, .. } => width_mismatch(encoded, n),
+            e => e.to_string(),
+        })?;
         Self::assemble(model, spec, feat_means, feat_stds, target_mean, target_std)
     }
 
@@ -625,7 +637,7 @@ impl ModelBundle {
     /// store's audit path) treats either as bundle rot and rolls the key
     /// back to its last-good version.
     pub fn attach_canary_from(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if read_header(&mut &bytes[..])? == 1 {
+        if read_header(&mut Reader::new(bytes))? == 1 {
             return Ok(());
         }
         let frames = SectionFrames::parse(bytes)?;
@@ -659,10 +671,7 @@ impl ModelBundle {
         }
         let encoded = model.encoder().input_dim();
         if encoded != feat_means.len() {
-            return Err(format!(
-                "model encodes {encoded} features but the scalers carry {}",
-                feat_means.len()
-            ));
+            return Err(width_mismatch(encoded, feat_means.len()));
         }
         Ok(Self {
             model,
@@ -694,71 +703,54 @@ impl ModelBundle {
     }
 }
 
+/// The refusal of a model whose encoder expects `encoded` features
+/// beside scalers for `carried`.
+fn width_mismatch(encoded: usize, carried: usize) -> String {
+    format!("model encodes {encoded} features but the scalers carry {carried}")
+}
+
 /// Reads the magic and the format version (1 or 2).
-fn read_header(r: &mut &[u8]) -> Result<u16, String> {
-    let mut magic = [0u8; 4];
-    read_exact(r, &mut magic)?;
-    if &magic != MAGIC {
+fn read_header(r: &mut Reader) -> Result<u16, String> {
+    if r.bytes(4) != Ok(&MAGIC[..]) {
         return Err("not a reghd-cli model bundle".to_string());
     }
-    match read_u16(r)? {
+    match r.u16()? {
         v @ (1 | VERSION) => Ok(v),
         v => Err(format!("unsupported bundle version {v}")),
     }
 }
 
+/// Feature means, feature stds, target mean, target std.
+type Scalers = (Vec<f32>, Vec<f32>, f32, f32);
+
 /// Shared scaler-block layout (v1 body / v2 scalers section payload).
-fn read_scalers(r: &mut &[u8]) -> Result<(Vec<f32>, Vec<f32>, f32, f32), String> {
-    let n = read_u64(r)? as usize;
+fn read_scalers(r: &mut Reader) -> Result<Scalers, String> {
+    let n = r.usize()?;
     if n > 1 << 20 {
         return Err(format!("implausible feature count {n}"));
     }
-    let mut feat_means = Vec::with_capacity(n);
-    for _ in 0..n {
-        feat_means.push(read_f32(r)?);
-    }
-    let mut feat_stds = Vec::with_capacity(n);
-    for _ in 0..n {
-        feat_stds.push(read_f32(r)?);
-    }
-    let target_mean = read_f32(r)?;
-    let target_std = read_f32(r)?;
-    Ok((feat_means, feat_stds, target_mean, target_std))
+    Ok((r.f32s(n)?, r.f32s(n)?, r.f32()?, r.f32()?))
 }
 
 /// The v2 scalers-section payload: the scaler block and nothing after it.
-fn decode_scalers_payload(payload: &[u8]) -> Result<(Vec<f32>, Vec<f32>, f32, f32), String> {
-    let mut s: &[u8] = payload;
-    let scalers = read_scalers(&mut s)?;
-    if !s.is_empty() {
-        return Err("trailing bytes in scalers section".to_string());
-    }
+fn decode_scalers_payload(payload: &[u8]) -> Result<Scalers, String> {
+    let mut r = Reader::new(payload);
+    let scalers = read_scalers(&mut r)?;
+    r.finish().map_err(|e| format!("{e} in scalers section"))?;
     Ok(scalers)
 }
 
 /// Shared canary-section payload layout (`rows:u64 | rows×n f32 | rows
 /// f32`), decoded with the feature count from the scalers section.
 fn decode_canary_payload(payload: &[u8], n: usize) -> Result<(Vec<Vec<f32>>, Vec<f32>), String> {
-    let mut c: &[u8] = payload;
-    let rows = read_u64(&mut c)? as usize;
+    let mut r = Reader::new(payload);
+    let rows = r.usize()?;
     if rows > CANARY_ROWS {
         return Err(format!("implausible canary row count {rows}"));
     }
-    let mut canary_rows = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut row = Vec::with_capacity(n);
-        for _ in 0..n {
-            row.push(read_f32(&mut c)?);
-        }
-        canary_rows.push(row);
-    }
-    let mut canary_preds = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        canary_preds.push(read_f32(&mut c)?);
-    }
-    if !c.is_empty() {
-        return Err("trailing bytes in canary section".to_string());
-    }
+    let canary_rows = (0..rows).map(|_| r.f32s(n)).collect::<Result<_, _>>()?;
+    let canary_preds = r.f32s(rows)?;
+    r.finish().map_err(|e| format!("{e} in canary section"))?;
     Ok((canary_rows, canary_preds))
 }
 
@@ -800,7 +792,7 @@ impl<'a> SectionFrames<'a> {
     /// Walks the section headers of a v2 image. Cheap: reads the magic,
     /// version, and three length fields — O(1) regardless of bundle size.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, String> {
-        let mut r: &[u8] = bytes;
+        let mut r = Reader::new(bytes);
         let v = read_header(&mut r)?;
         if v != VERSION {
             return Err(format!("section frames need a v2 bundle (got v{v})"));
@@ -808,9 +800,7 @@ impl<'a> SectionFrames<'a> {
         let scalers = locate_frame(&mut r, "scalers")?;
         let canary = locate_frame(&mut r, "canary")?;
         let model = locate_frame(&mut r, "model")?;
-        if !r.is_empty() {
-            return Err(format!("{} trailing bytes after model section", r.len()));
-        }
+        r.finish().map_err(|e| format!("{e} after model section"))?;
         Ok(Self {
             scalers,
             canary,
@@ -838,34 +828,22 @@ impl<'a> SectionFrames<'a> {
     /// where touching (and thus CRC-sweeping) the canary bytes is exactly
     /// what the lazy path avoids. `0` for an empty/malformed header.
     pub fn canary_rows_hint(&self) -> usize {
-        let p = self.canary.payload;
-        if p.len() < 8 {
-            return 0;
-        }
-        let rows = u64::from_le_bytes(p[..8].try_into().unwrap()) as usize;
-        if rows > CANARY_ROWS {
-            0
-        } else {
-            rows
+        match Reader::new(self.canary.payload).usize() {
+            Ok(rows) if rows <= CANARY_ROWS => rows,
+            _ => 0,
         }
     }
 }
 
 /// Locates one `len | payload | crc` frame without computing the checksum.
-fn locate_frame<'a>(r: &mut &'a [u8], name: &str) -> Result<Frame<'a>, String> {
-    let len = read_u64(r)?;
-    // Compared in u64 so a hostile length cannot overflow `len + 4`.
-    if (r.len() as u64) < len.saturating_add(4) {
-        return Err(format!("truncated bundle ({name} section)"));
-    }
-    let len = len as usize;
-    let payload = &r[..len];
-    *r = &r[len..];
-    let mut cb = [0u8; 4];
-    read_exact(r, &mut cb)?;
+fn locate_frame<'a>(r: &mut Reader<'a>, name: &str) -> Result<Frame<'a>, String> {
+    let truncated = |_| format!("truncated bundle ({name} section)");
+    let len = r.usize().map_err(truncated)?;
+    let payload = r.bytes(len).map_err(truncated)?;
+    let stored_crc = r.u32().map_err(truncated)?;
     Ok(Frame {
         payload,
-        stored_crc: u32::from_le_bytes(cb),
+        stored_crc,
     })
 }
 
@@ -873,114 +851,6 @@ fn write_section(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     buf.extend_from_slice(payload);
     buf.extend_from_slice(&crc32(payload).to_le_bytes());
-}
-
-fn read_exact(r: &mut &[u8], buf: &mut [u8]) -> Result<(), String> {
-    if r.len() < buf.len() {
-        return Err("truncated bundle".to_string());
-    }
-    buf.copy_from_slice(&r[..buf.len()]);
-    *r = &r[buf.len()..];
-    Ok(())
-}
-
-fn read_u16(r: &mut &[u8]) -> Result<u16, String> {
-    let mut b = [0u8; 2];
-    read_exact(r, &mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut &[u8]) -> Result<u64, String> {
-    let mut b = [0u8; 8];
-    read_exact(r, &mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_f32(r: &mut &[u8]) -> Result<f32, String> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, reflected). Implemented locally: the
-// workspace takes no external dependency for 40 lines of table-driven
-// arithmetic, and bundle integrity must not hinge on an optional crate.
-//
-// Slicing-by-8: `CRC_TABLES[0]` is the classic byte-at-a-time table and
-// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
-// eight input bytes fold into the state with eight independent lookups per
-// step instead of eight dependent ones. Same polynomial, same result as
-// the bytewise loop for every input.
-
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-/// Streaming CRC32 state (used by [`ModelBundle::state_checksum`], which
-/// hashes the learned state without serialising it).
-struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    fn new() -> Self {
-        Self { state: 0xFFFF_FFFF }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let t = &CRC_TABLES;
-        let mut crc = self.state;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
-        }
-        for &b in chunks.remainder() {
-            crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        self.state = crc;
-    }
-
-    fn finalize(self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
 }
 
 /// Feeds `vals` as little-endian bytes, staged through a stack block so
@@ -994,13 +864,6 @@ fn update_f32s(crc: &mut Crc32, vals: &[f32]) {
         }
         crc.update(&buf[..block.len() * 4]);
     }
-}
-
-/// CRC32 (IEEE) of `bytes` — the checksum written after each v2 section.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finalize()
 }
 
 /// 64-bit FNV-1a of `bytes` — a bundle's artefact identity hash. The
@@ -1286,6 +1149,29 @@ mod tests {
     }
 
     #[test]
+    fn trailing_bytes_after_the_model_blob_are_refused() {
+        // Eight junk bytes after the persisted blob: inside a re-signed v2
+        // model section, and at the end of a v1 image. Accepting either
+        // would decode a bundle whose `to_bytes` differs from its input.
+        let ds = toy_dataset();
+        let (bundle, _) = train(&ds, 256, 2, 6, 19, false).unwrap();
+        let bytes = bundle.to_bytes().unwrap();
+        let blob = SectionFrames::parse(&bytes).unwrap().model().unwrap();
+        let mut v2 = bytes[..bytes.len() - 12 - blob.len()].to_vec();
+        write_section(&mut v2, &[blob, &[0u8; 8]].concat());
+        let mut v1 = to_bytes_v1(&bundle);
+        v1.extend([0u8; 8]);
+        for image in [v2, v1] {
+            for err in [
+                ModelBundle::from_bytes(&image).unwrap_err(),
+                ModelBundle::decode_serving(&image).unwrap_err(),
+            ] {
+                assert!(err.contains("8 trailing bytes"), "err: {err}");
+            }
+        }
+    }
+
+    #[test]
     fn decode_serving_rejects_corrupt_model_section() {
         let ds = toy_dataset();
         let (bundle, _) = train(&ds, 256, 2, 6, 14, false).unwrap();
@@ -1424,57 +1310,6 @@ mod tests {
     fn tiny_dataset_rejected() {
         let ds = Dataset::new("t", vec![vec![1.0]; 2], vec![0.0; 2]);
         assert!(train(&ds, 64, 1, 2, 0, false).is_err());
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard IEEE CRC32 check values.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    /// Bitwise CRC32 reference: the polynomial division with no table.
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
-        for &b in bytes {
-            c ^= u32::from(b);
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-        }
-        !c
-    }
-
-    #[test]
-    fn crc32_slicing_matches_bitwise_reference() {
-        let mut rng = HdRng::seed_from(0xC3C3);
-        let buf: Vec<u8> = (0..1024 + 8).map(|_| rng.next_u64() as u8).collect();
-        for offset in 0..8 {
-            for len in 0..=1024 {
-                let s = &buf[offset..offset + len];
-                assert_eq!(crc32(s), crc32_bitwise(s), "offset {offset} len {len}");
-            }
-        }
-        for _ in 0..24 {
-            let len = rng.next_below(64 * 1024 + 1);
-            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            let want = crc32_bitwise(&data);
-            assert_eq!(crc32(&data), want, "len {len}");
-            // Streaming in two uneven pieces folds to the same value.
-            let cut = rng.next_below(len + 1);
-            let mut c = Crc32::new();
-            c.update(&data[..cut]);
-            c.update(&data[cut..]);
-            assert_eq!(c.finalize(), want, "len {len} cut {cut}");
-        }
     }
 
     /// A bundle built from fixed seeded parts — no training, hence no trig

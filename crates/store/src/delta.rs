@@ -28,6 +28,7 @@
 //! `list` output.
 
 use crate::{fnv1a, StoreError};
+use hdc::wire::{crc32, Reader, WireError};
 use reghd::RegHdRegressor;
 use reghd_serve::bundle::ModelBundle;
 
@@ -303,128 +304,76 @@ impl ModelDelta {
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&body);
-        out.extend_from_slice(&reghd_serve::bundle::crc32(&body).to_le_bytes());
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
         out
     }
 
     /// Parses a serialised delta, verifying its trailing checksum.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let mut r: &[u8] = bytes;
-        let mut magic = [0u8; 4];
-        take(&mut r, &mut magic)?;
-        if &magic != MAGIC {
-            return Err(StoreError::Delta("not a model delta".to_string()));
+        Self::decode(bytes).map_err(StoreError::Delta)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(bytes);
+        if r.bytes(4)? != MAGIC {
+            return Err("not a model delta".to_string());
         }
-        let v = r_u16(&mut r)?;
+        let v = r.u16()?;
         if v != VERSION {
-            return Err(StoreError::Delta(format!("unsupported delta version {v}")));
+            return Err(format!("unsupported delta version {v}"));
         }
-        if r.len() < 4 {
-            return Err(StoreError::Delta("truncated delta".to_string()));
-        }
-        let (body, crc_bytes) = r.split_at(r.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte split"));
-        let computed = reghd_serve::bundle::crc32(body);
+        // The body is everything between the version and the CRC trailer.
+        let body = r.bytes(r.remaining().saturating_sub(4))?;
+        let stored = r.u32()?;
+        let computed = crc32(body);
         if stored != computed {
-            return Err(StoreError::Delta(format!(
+            return Err(format!(
                 "delta checksum mismatch (stored {stored:08x}, computed {computed:08x})"
-            )));
+            ));
         }
-        let mut r: &[u8] = body;
-        let base_hash = r_u64(&mut r)?;
-        let base_version = r_u64(&mut r)?;
-        let expected_hash = r_u64(&mut r)?;
-        let intercept = r_f32(&mut r)?;
-        let dim = r_u64(&mut r)? as usize;
-        let k = r_u64(&mut r)? as usize;
+        let mut r = Reader::new(body);
+        let base_hash = r.u64()?;
+        let base_version = r.u64()?;
+        let expected_hash = r.u64()?;
+        let intercept = r.f32()?;
+        let dim = r.usize()?;
+        let k = r.usize()?;
         if dim == 0 || dim > 1 << 24 || k == 0 || k > 1 << 16 {
-            return Err(StoreError::Delta(format!("implausible shape {k}x{dim}")));
+            return Err(format!("implausible shape {k}x{dim}"));
         }
-        let mut groups = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let count = r_u32(&mut r)? as usize;
+        let mut group = || -> Result<Vec<(u32, Vec<f32>)>, String> {
+            let count = r.u32()? as usize;
             if count > 2 * k {
-                return Err(StoreError::Delta(format!(
-                    "implausible changed-vector count {count}"
-                )));
+                return Err(format!("implausible changed-vector count {count}"));
             }
-            let mut group = Vec::with_capacity(count);
-            for _ in 0..count {
-                let idx = r_u32(&mut r)?;
-                let mut data = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    data.push(r_f32(&mut r)?);
-                }
-                group.push((idx, data));
-            }
-            groups.push(group);
-        }
-        let models = groups.pop().expect("two groups read");
-        let clusters = groups.pop().expect("two groups read");
-        let center = match r_u8(&mut r)? {
-            0 => None,
-            1 => {
-                let mut c = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    c.push(r_f32(&mut r)?);
-                }
-                Some(c)
-            }
-            f => return Err(StoreError::Delta(format!("bad center flag {f}"))),
+            Ok((0..count)
+                .map(|_| Ok((r.u32()?, r.f32s(dim)?)))
+                .collect::<Result<_, WireError>>()?)
         };
-        let scalers = match r_u8(&mut r)? {
-            0 => None,
-            1 => {
-                let n = r_u64(&mut r)? as usize;
-                if n > 1 << 20 {
-                    return Err(StoreError::Delta(format!("implausible feature count {n}")));
-                }
-                let mut m = Vec::with_capacity(n);
-                for _ in 0..n {
-                    m.push(r_f32(&mut r)?);
-                }
-                let mut s = Vec::with_capacity(n);
-                for _ in 0..n {
-                    s.push(r_f32(&mut r)?);
-                }
-                let tm = r_f32(&mut r)?;
-                let ts = r_f32(&mut r)?;
-                Some((m, s, tm, ts))
+        let clusters = group()?;
+        let models = group()?;
+        let center = if r.flag()? { Some(r.f32s(dim)?) } else { None };
+        let scalers = if r.flag()? {
+            let n = r.usize()?;
+            if n > 1 << 20 {
+                return Err(format!("implausible feature count {n}"));
             }
-            f => return Err(StoreError::Delta(format!("bad scalers flag {f}"))),
+            Some((r.f32s(n)?, r.f32s(n)?, r.f32()?, r.f32()?))
+        } else {
+            None
         };
-        let canary = match r_u8(&mut r)? {
-            0 => None,
-            1 => {
-                let rows = r_u64(&mut r)? as usize;
-                let width = r_u64(&mut r)? as usize;
-                if rows > 64 || width > 1 << 20 {
-                    return Err(StoreError::Delta(format!(
-                        "implausible canary shape {rows}x{width}"
-                    )));
-                }
-                let mut rs = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    let mut row = Vec::with_capacity(width);
-                    for _ in 0..width {
-                        row.push(r_f32(&mut r)?);
-                    }
-                    rs.push(row);
-                }
-                let mut ps = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    ps.push(r_f32(&mut r)?);
-                }
-                Some((rs, ps))
+        let canary = if r.flag()? {
+            let rows = r.usize()?;
+            let width = r.usize()?;
+            if rows > 64 || width > 1 << 20 {
+                return Err(format!("implausible canary shape {rows}x{width}"));
             }
-            f => return Err(StoreError::Delta(format!("bad canary flag {f}"))),
+            let rs = (0..rows).map(|_| r.f32s(width)).collect::<Result<_, _>>()?;
+            Some((rs, r.f32s(rows)?))
+        } else {
+            None
         };
-        if !r.is_empty() {
-            return Err(StoreError::Delta(format!(
-                "{} trailing bytes in delta",
-                r.len()
-            )));
-        }
+        r.finish()?;
         Ok(ModelDelta {
             base_hash,
             base_version,
@@ -439,45 +388,6 @@ impl ModelDelta {
             canary,
         })
     }
-}
-
-fn take(r: &mut &[u8], buf: &mut [u8]) -> Result<(), StoreError> {
-    if r.len() < buf.len() {
-        return Err(StoreError::Delta("truncated delta".to_string()));
-    }
-    buf.copy_from_slice(&r[..buf.len()]);
-    *r = &r[buf.len()..];
-    Ok(())
-}
-
-fn r_u8(r: &mut &[u8]) -> Result<u8, StoreError> {
-    let mut b = [0u8; 1];
-    take(r, &mut b)?;
-    Ok(b[0])
-}
-
-fn r_u16(r: &mut &[u8]) -> Result<u16, StoreError> {
-    let mut b = [0u8; 2];
-    take(r, &mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn r_u32(r: &mut &[u8]) -> Result<u32, StoreError> {
-    let mut b = [0u8; 4];
-    take(r, &mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn r_u64(r: &mut &[u8]) -> Result<u64, StoreError> {
-    let mut b = [0u8; 8];
-    take(r, &mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn r_f32(r: &mut &[u8]) -> Result<f32, StoreError> {
-    let mut b = [0u8; 4];
-    take(r, &mut b)?;
-    Ok(f32::from_le_bytes(b))
 }
 
 #[cfg(test)]

@@ -244,17 +244,14 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Propagates `reghd::persist` errors as strings; additionally rejects
-    /// a checkpoint whose feature width disagrees with `input_dim`, and one
-    /// whose shape disagrees with `cfg`.
+    /// Propagates `reghd::persist` errors as strings, including a
+    /// checkpoint whose feature width disagrees with `input_dim` (refused
+    /// before its encoder is built); additionally rejects one whose shape
+    /// disagrees with `cfg`.
     pub fn resume(cfg: TrainerConfig, input_dim: usize, path: &str) -> Result<Self, String> {
-        let (model, spec) = persist::load_online_from_file(path).map_err(|e| e.to_string())?;
-        if spec.input_dim() != input_dim {
-            return Err(format!(
-                "checkpoint encodes {} features, the source has {input_dim}",
-                spec.input_dim()
-            ));
-        }
+        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let (model, spec) =
+            persist::load_online_for(&bytes, input_dim).map_err(|e| e.to_string())?;
         let mut t = Self::new(cfg, input_dim);
         if model.config().dim != t.cfg.dim || model.config().models != t.cfg.models {
             return Err(format!(

@@ -6,10 +6,11 @@
 //! and seed, and so is every training path: the batch `fit` (with its
 //! stopping rule), `refine`, the streaming `OnlineRegHd` (updates,
 //! cluster eviction, checkpoint bytes, snapshots) and the single-model
-//! learner. This test pins those outputs to checksums recorded once, so a
-//! refactor of the trig, SIMD, scoring or training code that claims to
-//! leave them alone is checked against the previous code's bits, not only
-//! against itself. The values hold at every SIMD dispatch level (the
+//! learner, and so are the `.rghd` v2 bundle and RGDL delta bytes those
+//! models serialise to. This test pins those outputs to checksums recorded
+//! once, so a refactor of the trig, SIMD, scoring, training or codec code
+//! that claims to leave them alone is checked against the previous code's
+//! bits, not only against itself. The values hold at every SIMD dispatch level (the
 //! kernels are bit-identical across levels; CI runs this file under both
 //! `REGHD_SIMD=scalar` and `REGHD_SIMD=auto`). If a change is *meant* to
 //! move these bits, re-record the constants and say why in the change log.
@@ -19,6 +20,7 @@ use reghd_repro::hdc::rng::HdRng;
 use reghd_repro::prelude::*;
 use reghd_repro::reghd::{persist, PredictScratch};
 use reghd_serve::bundle;
+use reghd_store::ModelDelta;
 
 /// FNV-1a over the little-endian bytes of each value's bit pattern.
 fn checksum(vals: &[f32]) -> u64 {
@@ -329,5 +331,47 @@ fn batch_training_paths_match_recorded_bits() {
             0x0b20_8ca4_284d_1a12, // predict
         ],
     );
+    assert_eq!(got, want, "got {got:#018x?}");
+}
+
+/// Two bundles trained with one config on shifted rows, and the RGDL delta
+/// between them: the `.rghd` v2 and RGDL bytes are pinned, and decoding
+/// each image and encoding it again reproduces it byte for byte.
+#[test]
+fn bundle_and_delta_bytes_match_recorded_bits() {
+    let train = |offset| {
+        let (xs, ys) = rows(240, offset);
+        let (b, _) = bundle::train(&Dataset::new("golden", xs, ys), 512, 4, 6, 7, false).unwrap();
+        b.to_bytes().unwrap()
+    };
+    let (base, next) = (train(0), train(100));
+    let delta = ModelDelta::compute(&base, 1, &next)
+        .unwrap()
+        .expect("one config, so the change is delta-able");
+    let wire = delta.to_bytes();
+
+    for image in [&base, &next] {
+        let decoded = bundle::ModelBundle::from_bytes(image).unwrap();
+        assert_eq!(&decoded.to_bytes().unwrap(), image);
+    }
+    assert_eq!(ModelDelta::from_bytes(&wire).unwrap(), delta);
+    assert_eq!(delta.apply(&base).unwrap(), next);
+
+    let got = [
+        base.len() as u64,
+        checksum_bytes(&base),
+        next.len() as u64,
+        checksum_bytes(&next),
+        wire.len() as u64,
+        checksum_bytes(&wire),
+    ];
+    let want = [
+        18_952,                // base image length
+        0x0100_44d1_8a44_b1bf, // base image bytes
+        18_952,                // next image length
+        0xa59b_ab8b_e773_e0d4, // next image bytes
+        18_833,                // delta length
+        0x7471_e0b0_ec18_ba59, // delta bytes
+    ];
     assert_eq!(got, want, "got {got:#018x?}");
 }

@@ -129,3 +129,80 @@ fn rgnp_predicts_bit_identically_to_in_process_across_all_modes() {
 
     handle.shutdown();
 }
+
+/// Lower-case hex of `bytes`.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Golden RGNP frames: the codec's bytes for fixed requests and replies,
+/// recorded once, so a change to the encoders or decoders cannot move the
+/// wire format unnoticed. Every frame also decodes back to its inputs.
+#[test]
+fn rgnp_frames_match_recorded_bytes() {
+    use reghd_repro::reghd_net::frame::{self, status, FrameBuf, Step, DEFAULT_MAX_FRAME};
+
+    let row = [1.5f32, -0.25, 3.0e-39];
+    let rows = [vec![0.5f32, -1.0], vec![f32::MAX, 0.0]];
+    let replies = [(status::OK, 2.5f32), (status::DEGRADED, -0.125)];
+    let mut frames: Vec<Vec<u8>> = vec![Vec::new(); 6];
+    frame::encode_predict_tier(&mut frames[0], 1, "m-1", &row, PredictionTier::Full);
+    frame::encode_predict_tier(&mut frames[1], 2, "m-1", &row, PredictionTier::Binary);
+    frame::encode_predict_batch_tier(&mut frames[2], 3, "fleet", &rows, PredictionTier::Full);
+    frame::encode_predict_batch_tier(&mut frames[3], 4, "fleet", &rows, PredictionTier::Binary);
+    frame::encode_value_reply(&mut frames[4], status::DEGRADED, u64::MAX, -7.75);
+    frame::encode_batch_reply(&mut frames[5], 0x0102_0304_0506_0708, &replies);
+
+    let got: Vec<String> = frames.iter().map(|f| hex(f)).collect();
+    let want = [
+        // PREDICT, full tier: no tier byte.
+        "1e00000001010000000000000003006d2d31030000000000c03f000080bec8aa2000",
+        // PREDICT, binary tier: the trailing tier byte 01.
+        "1f00000001020000000000000003006d2d31030000000000c03f000080bec8aa200001",
+        // PREDICT_BATCH, full tier, 2 rows × 2 columns.
+        "280000000203000000000000000500666c65657402000000020000000000003f000080bfffff7f7f00000000",
+        // PREDICT_BATCH, binary tier.
+        "290000000204000000000000000500666c65657402000000020000000000003f000080bfffff7f7f0000000001",
+        // DEGRADED value reply.
+        "0d00000001ffffffffffffffff0000f8c0",
+        // Batch reply: frame status DEGRADED, then (status, value) rows.
+        "1700000001080706050403020102000000000000204001000000be",
+    ];
+    assert_eq!(got, want);
+
+    let mut buf = FrameBuf::new();
+    buf.extend(&frames.concat());
+    let mut next = || match buf.next_frame(DEFAULT_MAX_FRAME) {
+        Step::Ready(f) => f,
+        other => panic!("expected a frame, got {other:?}"),
+    };
+    for (id, tier) in [(1, PredictionTier::Full), (2, PredictionTier::Binary)] {
+        let f = next();
+        assert_eq!(f.req_id, id);
+        let req = frame::decode_predict(&f.payload).unwrap();
+        assert_eq!(
+            (req.model, req.row.as_slice(), req.tier),
+            ("m-1", &row[..], tier)
+        );
+    }
+    for (id, tier) in [(3, PredictionTier::Full), (4, PredictionTier::Binary)] {
+        let f = next();
+        assert_eq!(f.req_id, id);
+        let req = frame::decode_predict_batch(&f.payload).unwrap();
+        assert_eq!(
+            (req.model, req.rows.as_slice(), req.tier),
+            ("fleet", &rows[..], tier)
+        );
+    }
+    let f = next();
+    assert_eq!((f.kind, f.req_id), (status::DEGRADED, u64::MAX));
+    assert_eq!(frame::decode_value_reply(&f.payload).unwrap(), -7.75);
+    let f = next();
+    assert_eq!(
+        f.kind,
+        status::DEGRADED,
+        "a batch reply's status is its worst row's"
+    );
+    assert_eq!(frame::decode_batch_reply(&f.payload).unwrap(), replies);
+    assert!(buf.is_empty());
+}
