@@ -26,7 +26,7 @@
 //!
 //! let mut buf = Vec::new();
 //! persist::save(&model, &spec, &mut buf)?;
-//! let (loaded, loaded_spec) = persist::load(&buf)?;
+//! let (loaded, loaded_spec) = persist::load(&buf, 2)?;
 //! assert_eq!(loaded_spec, spec);
 //! assert_eq!(loaded.predict_one(&[0.5, -0.5]), model.predict_one(&[0.5, -0.5]));
 //! # Ok::<(), reghd::persist::PersistError>(())
@@ -62,8 +62,7 @@ pub enum PersistError {
     /// version, or is structurally inconsistent.
     Format(String),
     /// The file's encoder expects `encoded` input features, but the caller
-    /// feeds `expected` ([`load_for`], [`load_online_for`]). Refused before
-    /// the encoder is built.
+    /// feeds `expected`. Refused before the encoder is built.
     Width {
         /// The encoder spec's input width.
         encoded: usize,
@@ -394,22 +393,19 @@ fn read_kind(r: &mut Reader) -> Result<u8, PersistError> {
     }
 }
 
-/// Reads the config and encoder spec blocks. When the caller knows the
-/// width of the rows it will feed (`input_dim`), a spec of another width
-/// is refused here, before anything is built from it.
-fn read_head(
-    r: &mut Reader,
-    input_dim: Option<usize>,
-) -> Result<(RegHdConfig, EncoderSpec), PersistError> {
+/// Reads the config and encoder spec blocks. A spec of another width than
+/// the caller's rows (`input_dim`) is refused here, before anything is
+/// built from it.
+fn read_head(r: &mut Reader, input_dim: usize) -> Result<(RegHdConfig, EncoderSpec), PersistError> {
     let cfg = read_config(r)?;
     let spec = read_spec_checked(r, cfg.dim)?;
-    match input_dim {
-        Some(expected) if expected != spec.input_dim() => Err(PersistError::Width {
+    if spec.input_dim() != input_dim {
+        return Err(PersistError::Width {
             encoded: spec.input_dim(),
-            expected,
-        }),
-        _ => Ok((cfg, spec)),
+            expected: input_dim,
+        });
     }
+    Ok((cfg, spec))
 }
 
 /// Writes the learned banks' integer copies: every cluster, then every
@@ -472,36 +468,19 @@ pub fn save<W: Write>(
 
 /// Deserialises a model from its bytes, together with the encoder spec
 /// the file carries — the spec the returned model encodes with, and the
-/// one to pass back to [`save`].
+/// one to pass back to [`save`]. The caller names the width of the rows it
+/// will feed (`input_dim`), and a file whose encoder expects another width
+/// is refused before that encoder is built: a spec's tables are derived,
+/// not read, so no byte count bounds them.
 ///
 /// # Errors
 ///
 /// Returns [`PersistError::Format`] when the bytes are not a valid model
 /// file (wrong magic/version, inconsistent shapes, bad enum tags or flags,
-/// trailing bytes) and [`PersistError::Io`] of kind `UnexpectedEof` when
+/// trailing bytes), [`PersistError::Width`] when its encoder expects
+/// another width, and [`PersistError::Io`] of kind `UnexpectedEof` when
 /// they end early.
-pub fn load(bytes: &[u8]) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
-    decode(bytes, None)
-}
-
-/// [`load`] for a caller that will feed the model `input_dim`-wide rows:
-/// a file whose encoder expects another width is refused with
-/// [`PersistError::Width`] before that encoder is built.
-///
-/// # Errors
-///
-/// As [`load`], plus [`PersistError::Width`].
-pub fn load_for(
-    bytes: &[u8],
-    input_dim: usize,
-) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
-    decode(bytes, Some(input_dim))
-}
-
-fn decode(
-    bytes: &[u8],
-    input_dim: Option<usize>,
-) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
+pub fn load(bytes: &[u8], input_dim: usize) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
     let mut r = Reader::new(bytes);
     if read_kind(&mut r)? == KIND_ONLINE {
         return Err(PersistError::Format(
@@ -536,15 +515,16 @@ pub fn save_to_file<P: AsRef<Path>>(
     save(model, spec, &mut f)
 }
 
-/// Loads a model from a file path. See [`load`].
+/// Loads a model for `input_dim`-wide rows from a file path. See [`load`].
 ///
 /// # Errors
 ///
 /// Returns [`PersistError`] on filesystem failure or malformed content.
 pub fn load_from_file<P: AsRef<Path>>(
     path: P,
+    input_dim: usize,
 ) -> Result<(RegHdRegressor, EncoderSpec), PersistError> {
-    load(&std::fs::read(path)?)
+    load(&std::fs::read(path)?, input_dim)
 }
 
 /// Serialises a streaming [`OnlineRegHd`] model to any writer.
@@ -581,33 +561,17 @@ pub fn save_online<W: Write>(
     write_banks(w, model.clusters(), model.models())
 }
 
-/// Deserialises a streaming model saved by [`save_online`], together with
-/// the encoder spec the file carries (see [`load`]).
+/// Deserialises a streaming model saved by [`save_online`] for
+/// `input_dim`-wide rows, together with the encoder spec the file carries
+/// (see [`load`]).
 ///
 /// # Errors
 ///
 /// As [`load`]; batch files, which must go through [`load`], are format
 /// errors.
-pub fn load_online(bytes: &[u8]) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
-    decode_online(bytes, None)
-}
-
-/// [`load_online`] for a caller that will feed the model `input_dim`-wide
-/// rows (see [`load_for`]).
-///
-/// # Errors
-///
-/// As [`load_online`], plus [`PersistError::Width`].
-pub fn load_online_for(
+pub fn load_online(
     bytes: &[u8],
     input_dim: usize,
-) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
-    decode_online(bytes, Some(input_dim))
-}
-
-fn decode_online(
-    bytes: &[u8],
-    input_dim: Option<usize>,
 ) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
     let mut r = Reader::new(bytes);
     if read_kind(&mut r)? == KIND_BATCH {
@@ -649,15 +613,17 @@ pub fn save_online_to_file<P: AsRef<Path>>(
     save_online(model, spec, &mut f)
 }
 
-/// Loads a streaming model from a file path. See [`load_online`].
+/// Loads a streaming model for `input_dim`-wide rows from a file path. See
+/// [`load_online`].
 ///
 /// # Errors
 ///
 /// Returns [`PersistError`] on filesystem failure or malformed content.
 pub fn load_online_from_file<P: AsRef<Path>>(
     path: P,
+    input_dim: usize,
 ) -> Result<(OnlineRegHd, EncoderSpec), PersistError> {
-    load_online(&std::fs::read(path)?)
+    load_online(&std::fs::read(path)?, input_dim)
 }
 
 #[cfg(test)]
@@ -694,7 +660,7 @@ mod tests {
             let (model, spec, xs) = trained(pred);
             let mut buf = Vec::new();
             save(&model, &spec, &mut buf).unwrap();
-            let (loaded, loaded_spec) = load(&buf).unwrap();
+            let (loaded, loaded_spec) = load(&buf, 3).unwrap();
             assert_eq!(loaded_spec, spec);
             for x in xs.iter().take(10) {
                 assert_eq!(
@@ -711,14 +677,14 @@ mod tests {
         let (model, spec, xs) = trained(PredictionMode::Full);
         let path = std::env::temp_dir().join("reghd_persist_test.rghd");
         save_to_file(&model, &spec, &path).unwrap();
-        let (loaded, _) = load_from_file(&path).unwrap();
+        let (loaded, _) = load_from_file(&path, 3).unwrap();
         assert_eq!(loaded.predict_one(&xs[0]), model.predict_one(&xs[0]));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let err = load(b"NOPE\x01\x00").unwrap_err();
+        let err = load(b"NOPE\x01\x00", 3).unwrap_err();
         assert!(matches!(err, PersistError::Format(_)));
         assert!(err.to_string().contains("magic"));
     }
@@ -728,7 +694,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&99u16.to_le_bytes());
-        let err = load(&buf).unwrap_err();
+        let err = load(&buf, 3).unwrap_err();
         assert!(err.to_string().contains("version"));
     }
 
@@ -738,7 +704,7 @@ mod tests {
         let mut buf = Vec::new();
         save(&model, &spec, &mut buf).unwrap();
         buf.truncate(buf.len() / 2);
-        assert!(matches!(load(&buf).unwrap_err(), PersistError::Io(_)));
+        assert!(matches!(load(&buf, 3).unwrap_err(), PersistError::Io(_)));
     }
 
     #[test]
@@ -749,13 +715,13 @@ mod tests {
         let mut buf = Vec::new();
         save(&model, &spec, &mut buf).unwrap();
         buf.extend([0u8; 8]);
-        let err = load(&buf).unwrap_err();
+        let err = load(&buf, 3).unwrap_err();
         assert!(err.to_string().contains("8 trailing bytes"), "err: {err}");
         let (online, ospec, _) = streamed(8);
         let mut buf = Vec::new();
         save_online(&online, &ospec, &mut buf).unwrap();
         buf.push(0);
-        let err = load_online(&buf).unwrap_err();
+        let err = load_online(&buf, 3).unwrap_err();
         assert!(err.to_string().contains("1 trailing bytes"), "err: {err}");
     }
 
@@ -776,13 +742,13 @@ mod tests {
             let mut buf = batch.clone();
             assert!(buf[at] <= 1, "offset {at} holds a flag");
             buf[at] = 7;
-            assert!(refused(load(&buf).unwrap_err()), "offset {at}");
+            assert!(refused(load(&buf, 3).unwrap_err()), "offset {at}");
         }
         for at in [70, 71, 72] {
             let mut buf = stream.clone();
             assert!(buf[at] <= 1, "offset {at} holds a flag");
             buf[at] = 7;
-            assert!(refused(load_online(&buf).unwrap_err()), "offset {at}");
+            assert!(refused(load_online(&buf, 3).unwrap_err()), "offset {at}");
         }
     }
 
@@ -791,8 +757,8 @@ mod tests {
         let (model, spec, _) = trained(PredictionMode::Full);
         let mut buf = Vec::new();
         save(&model, &spec, &mut buf).unwrap();
-        assert!(load_for(&buf, 3).is_ok());
-        let err = load_for(&buf, 4).unwrap_err();
+        assert!(load(&buf, 3).is_ok());
+        let err = load(&buf, 4).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -806,8 +772,8 @@ mod tests {
         let (online, ospec, _) = streamed(8);
         let mut buf = Vec::new();
         save_online(&online, &ospec, &mut buf).unwrap();
-        assert!(load_online_for(&buf, 3).is_ok());
-        let err = load_online_for(&buf, 2).unwrap_err();
+        assert!(load_online(&buf, 3).is_ok());
+        let err = load_online(&buf, 2).unwrap_err();
         assert_eq!(err.to_string(), "model encodes 3 features, the data has 2");
     }
 
@@ -820,7 +786,7 @@ mod tests {
         // 4 magic + 2 version + 8 dim + 8 models + 4 lr + 8 max + 8 min +
         // 4 tol + 8 patience + 4 beta + 8 qbatch = 66.
         buf[66] = 200;
-        let err = load(&buf).unwrap_err();
+        let err = load(&buf, 3).unwrap_err();
         assert!(err.to_string().contains("cluster mode"), "err: {err}");
     }
 
@@ -875,11 +841,11 @@ mod tests {
         for spec in &hostile {
             let mut buf = Vec::new();
             save(&model, spec, &mut buf).unwrap();
-            let err = load(&buf).unwrap_err();
+            let err = load(&buf, 3).unwrap_err();
             assert!(matches!(err, PersistError::Format(_)), "{spec:?}: {err}");
             buf.clear();
             save_online(&online, spec, &mut buf).unwrap();
-            let err = load_online(&buf).unwrap_err();
+            let err = load_online(&buf, 3).unwrap_err();
             assert!(matches!(err, PersistError::Format(_)), "{spec:?}: {err}");
         }
     }
@@ -899,10 +865,10 @@ mod tests {
         for models in [1u64 << 40, 1 << 61] {
             let mut buf = batch.clone();
             buf[14..22].copy_from_slice(&models.to_le_bytes());
-            assert!(refused(load(&buf).unwrap_err()), "{models}");
+            assert!(refused(load(&buf, 3).unwrap_err()), "{models}");
             let mut buf = stream.clone();
             buf[15..23].copy_from_slice(&models.to_le_bytes());
-            assert!(refused(load_online(&buf).unwrap_err()), "{models}");
+            assert!(refused(load_online(&buf, 3).unwrap_err()), "{models}");
         }
     }
 
@@ -911,7 +877,7 @@ mod tests {
         let (model, spec, _) = trained(PredictionMode::BinaryQuery);
         let mut buf = Vec::new();
         save(&model, &spec, &mut buf).unwrap();
-        let (loaded, _) = load(&buf).unwrap();
+        let (loaded, _) = load(&buf, 3).unwrap();
         assert_eq!(loaded.config(), model.config());
         assert_eq!(loaded.intercept(), model.intercept());
     }
@@ -946,7 +912,7 @@ mod tests {
         model.quantize_now();
         let mut buf = Vec::new();
         save_online(&model, &spec, &mut buf).unwrap();
-        let (mut loaded, loaded_spec) = load_online(&buf).unwrap();
+        let (mut loaded, loaded_spec) = load_online(&buf, 3).unwrap();
         assert_eq!(loaded_spec, spec);
 
         assert_eq!(loaded.samples_seen(), model.samples_seen());
@@ -971,7 +937,7 @@ mod tests {
         model.quantize_now();
         let path = std::env::temp_dir().join("reghd_persist_online_test.rghd");
         save_online_to_file(&model, &spec, &path).unwrap();
-        let (loaded, _) = load_online_from_file(&path).unwrap();
+        let (loaded, _) = load_online_from_file(&path, 3).unwrap();
         assert_eq!(loaded.predict_one(&xs[0]), model.predict_one(&xs[0]));
         std::fs::remove_file(&path).ok();
     }
@@ -981,13 +947,13 @@ mod tests {
         let (online, ospec, _) = streamed(30);
         let mut obuf = Vec::new();
         save_online(&online, &ospec, &mut obuf).unwrap();
-        let err = load(&obuf).unwrap_err();
+        let err = load(&obuf, 3).unwrap_err();
         assert!(err.to_string().contains("load_online"), "err: {err}");
 
         let (batch, bspec, _) = trained(PredictionMode::Full);
         let mut bbuf = Vec::new();
         save(&batch, &bspec, &mut bbuf).unwrap();
-        let err = load_online(&bbuf).unwrap_err();
+        let err = load_online(&bbuf, 3).unwrap_err();
         assert!(err.to_string().contains("batch model"), "err: {err}");
     }
 }

@@ -88,7 +88,7 @@ proptest! {
         m.fit(&xs, &ys);
         let mut buf = Vec::new();
         persist::save(&m, &spec, &mut buf).unwrap();
-        let (loaded, _) = persist::load(&buf).unwrap();
+        let (loaded, _) = persist::load(&buf, spec.input_dim()).unwrap();
         for x in xs.iter().take(5) {
             prop_assert_eq!(loaded.predict_one(x), m.predict_one(x));
         }
@@ -123,7 +123,7 @@ proptest! {
                 m.fit(&xs, &ys);
                 let mut buf = Vec::new();
                 persist::save(&m, &spec, &mut buf).unwrap();
-                let (loaded, _) = persist::load(&buf).unwrap();
+                let (loaded, _) = persist::load(&buf, spec.input_dim()).unwrap();
                 let orig_cfg = m.config();
                 let loaded_cfg = loaded.config();
                 prop_assert_eq!(loaded_cfg.cluster_mode, orig_cfg.cluster_mode);

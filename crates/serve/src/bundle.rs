@@ -321,34 +321,6 @@ impl ModelBundle {
         banks + center + scalers + canary + 256
     }
 
-    /// Rebuilds a bundle from already-decoded parts, carrying the given
-    /// canary section verbatim instead of recapturing it — the store's
-    /// delta-application path, where the new canary ships inside the delta
-    /// and the result must serialise **bit-identically** to the full bundle
-    /// the trainer built. `spec` is the spec `model` was built with (the
-    /// base bundle's [`ModelBundle::spec`]).
-    ///
-    /// # Errors
-    ///
-    /// Rejects mismatched scaler lengths, a model whose encoder expects a
-    /// different feature count than the scalers carry, and canary
-    /// rows/preds that disagree in count or width (see
-    /// [`ModelBundle::with_canary`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts_with_canary(
-        model: RegHdRegressor,
-        spec: EncoderSpec,
-        feat_means: Vec<f32>,
-        feat_stds: Vec<f32>,
-        target_mean: f32,
-        target_std: f32,
-        canary_rows: Vec<Vec<f32>>,
-        canary_preds: Vec<f32>,
-    ) -> Result<Self, String> {
-        Self::assemble(model, spec, feat_means, feat_stds, target_mean, target_std)?
-            .with_canary(canary_rows, canary_preds)
-    }
-
     /// Standardises raw-unit rows, validating width and finiteness.
     fn scale_rows(&self, rows: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, String> {
         let expected = self.feat_means.len();
@@ -618,7 +590,7 @@ impl ModelBundle {
         };
         let (feat_means, feat_stds, target_mean, target_std) = scalers;
         let n = feat_means.len();
-        let (model, spec) = persist::load_for(blob, n).map_err(|e| match e {
+        let (model, spec) = persist::load(blob, n).map_err(|e| match e {
             PersistError::Width { encoded, .. } => width_mismatch(encoded, n),
             e => e.to_string(),
         })?;
@@ -1208,34 +1180,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_with_canary_reserialises_bit_exact() {
-        let ds = toy_dataset();
-        let (bundle, _) = train(&ds, 256, 2, 6, 17, false).unwrap();
-        let bytes = bundle.to_bytes().unwrap();
-        let loaded = ModelBundle::from_bytes(&bytes).unwrap();
-        let rebuilt = ModelBundle::from_parts_with_canary(
-            RegHdRegressor::from_parts(
-                loaded.model.config().clone(),
-                loaded.spec.build(),
-                loaded.model.clusters().integer_clusters().to_vec(),
-                loaded.model.models().integer_models().to_vec(),
-                loaded.model.center().cloned(),
-                loaded.model.intercept(),
-            ),
-            loaded.spec.clone(),
-            loaded.feat_means.clone(),
-            loaded.feat_stds.clone(),
-            loaded.target_mean,
-            loaded.target_std,
-            loaded.canary_rows.clone(),
-            loaded.canary_preds.clone(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.to_bytes().unwrap(), bytes);
-        rebuilt.run_canary().unwrap();
-    }
-
-    #[test]
     fn approx_mem_is_stable_and_plausible() {
         let ds = toy_dataset();
         let (bundle, _) = train(&ds, 512, 2, 6, 18, false).unwrap();
@@ -1325,15 +1269,13 @@ mod tests {
         let center = Some(hv());
         let spec = encoder_spec(5, &cfg);
         let model = RegHdRegressor::from_parts(cfg, spec.build(), clusters, models, center, 0.375);
-        ModelBundle::from_parts_with_canary(
+        ModelBundle::assemble(
             model,
             spec,
             vec![0.5, -1.25, 2.0, 0.0, 3.5],
             vec![1.0, 0.5, 2.25, 1.5, 0.75],
             10.5,
             2.5,
-            Vec::new(),
-            Vec::new(),
         )
         .unwrap()
     }

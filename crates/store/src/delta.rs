@@ -1,41 +1,43 @@
-//! Delta publication: ship only the hypervectors that changed.
+//! Delta publication: ship only the bytes that changed.
 //!
-//! A RegHD model is `k` cluster hypervectors, `k` model hypervectors, an
-//! optional centre vector, an intercept, scalers, and a canary section.
-//! Streaming training between two publishes usually touches a *few*
-//! clusters (the ones recent samples routed to), so republishing the full
-//! bundle for every checkpoint moves mostly unchanged bytes. A
-//! [`ModelDelta`] carries the changed vectors only:
+//! A streaming checkpoint (§2.3) usually changes a few of a model's
+//! hypervectors, so most bytes of its `.rghd` image equal those of the
+//! image published before it. A [`ModelDelta`] is a patch of that image:
+//! the runs of bytes in which the new image differs from its base, and the
+//! hashes of both images. It does not know the bundle's layout; only
+//! `reghd_serve::bundle` and `reghd::persist` do.
 //!
 //! ```text
-//! magic "RGDL" | version u16 = 1
-//! base_hash u64 | base_version u64 | expected_hash u64
-//! intercept f32 | dim u64 | k u64
-//! changed clusters: count u32, then per entry idx u32 | dim × f32
-//! changed models:   count u32, then per entry idx u32 | dim × f32
-//! center  flag u8 (0 unchanged, 1 replaced → dim × f32)
-//! scalers flag u8 (0 unchanged, 1 replaced → n u64 | means | stds | tm | ts)
-//! canary  flag u8 (0 unchanged, 1 replaced → rows u64 | width u64 | rows×width f32 | rows f32)
+//! magic "RGDL" | version u16 = 2
+//! base_hash u64 | base_version u64 | expected_hash u64 | image_len u64
+//! runs: count u32, then per run: offset u64 | len u32 | len bytes
 //! crc32 over everything after the version field
 //! ```
 //!
-//! **Bit-exactness is enforced, not hoped for**: `expected_hash` is the
-//! FNV-1a of the full bundle bytes the trainer would have published, and
-//! [`ModelDelta::apply`] re-serialises the patched bundle and refuses to
-//! return bytes that hash differently. A base+delta load is therefore
-//! byte-identical to a full-bundle load — same predictions in every
-//! cluster/prediction mode, same canary replay, same artefact hash in
-//! `list` output.
+//! Runs are non-empty, ascending, non-overlapping and inside the
+//! `image_len`-byte image. [`ModelDelta::compute`] merges two runs when
+//! the equal bytes between them number no more than one run header, so
+//! merging never lengthens the wire form, and a delta is never longer
+//! than its new image plus the fixed fields and one run header.
+//!
+//! **Bit-exactness is enforced, not hoped for**: `base_hash` and
+//! `expected_hash` are the FNV-1a of the two images, and
+//! [`ModelDelta::apply`] refuses a base that hashes differently and a
+//! patched image that does not hash to `expected_hash`. A base+delta load
+//! is therefore byte-identical to a full-image load. Neither `compute` nor
+//! `apply` decodes an image: the store's publication gate decodes the
+//! patched image once and replays its canary, as for a full publish.
 
 use crate::{fnv1a, StoreError};
 use hdc::wire::{crc32, Reader, WireError};
-use reghd::RegHdRegressor;
-use reghd_serve::bundle::ModelBundle;
 
 const MAGIC: &[u8; 4] = b"RGDL";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
+/// Wire bytes of a run's header, `offset u64 | len u32`: shipping a gap of
+/// this many equal bytes costs no more than a second header.
+const RUN_HEADER: usize = 12;
 
-/// A sparse model update from one published version to the next.
+/// A byte patch from one published image to the next.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelDelta {
     /// FNV-1a of the full bundle bytes this delta applies on top of.
@@ -44,114 +46,52 @@ pub struct ModelDelta {
     pub base_version: u64,
     /// FNV-1a the patched full bundle bytes must hash to.
     pub expected_hash: u64,
-    intercept: f32,
-    dim: usize,
-    k: usize,
-    clusters: Vec<(u32, Vec<f32>)>,
-    models: Vec<(u32, Vec<f32>)>,
-    center: Option<Vec<f32>>,
-    scalers: Option<(Vec<f32>, Vec<f32>, f32, f32)>,
-    canary: Option<(Vec<Vec<f32>>, Vec<f32>)>,
-}
-
-fn bits_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    /// Length of the base image, and of the patched one.
+    image_len: usize,
+    /// Each run's offset in the image and its new bytes, ascending and
+    /// non-overlapping.
+    runs: Vec<(usize, Vec<u8>)>,
 }
 
 impl ModelDelta {
-    /// Diffs two full bundle images. Returns `None` when a delta cannot
-    /// represent the change (different config, encoder spec — which fixes
-    /// the feature width — or model shape) — the caller publishes the full
-    /// bundle instead.
+    /// Diffs two full images without decoding either. Returns `None` when
+    /// their lengths differ, which no patch of equal-length runs can
+    /// express: the caller publishes the full image instead.
     ///
     /// # Errors
     ///
-    /// Either image failing to parse (these are trusted, already-validated
-    /// publish artefacts, so a parse failure is a caller bug worth
-    /// surfacing rather than silently full-publishing).
+    /// None: any two images of one length have a delta.
     pub fn compute(
         base_bytes: &[u8],
         base_version: u64,
         new_bytes: &[u8],
     ) -> Result<Option<ModelDelta>, StoreError> {
-        let base = ModelBundle::from_bytes(base_bytes).map_err(StoreError::Bundle)?;
-        let new = ModelBundle::from_bytes(new_bytes).map_err(StoreError::Bundle)?;
-        let (bcfg, ncfg) = (base.model().config(), new.model().config());
-        if bcfg != ncfg || base.spec() != new.spec() {
+        if base_bytes.len() != new_bytes.len() {
             return Ok(None);
         }
-        let (bc, nc) = (
-            base.model().clusters().integer_clusters(),
-            new.model().clusters().integer_clusters(),
-        );
-        let (bm, nm) = (
-            base.model().models().integer_models(),
-            new.model().models().integer_models(),
-        );
-        if bc.len() != nc.len() || bm.len() != nm.len() {
-            return Ok(None);
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        let pairs = base_bytes.iter().zip(new_bytes).enumerate();
+        for (at, _) in pairs.filter(|(_, (b, n))| b != n) {
+            match spans.last_mut() {
+                Some((_, end)) if at - *end <= RUN_HEADER => *end = at + 1,
+                _ => spans.push((at, at + 1)),
+            }
         }
-        let center = match (base.model().center(), new.model().center()) {
-            (None, None) => None,
-            (Some(b), Some(n)) if bits_eq(b.as_slice(), n.as_slice()) => None,
-            (Some(_), Some(n)) => Some(n.as_slice().to_vec()),
-            // A centre appearing or vanishing means a different
-            // normalisation setup — not a delta.
-            _ => return Ok(None),
-        };
-        let clusters: Vec<(u32, Vec<f32>)> = bc
-            .iter()
-            .zip(nc)
-            .enumerate()
-            .filter(|(_, (b, n))| !bits_eq(b.as_slice(), n.as_slice()))
-            .map(|(i, (_, n))| (i as u32, n.as_slice().to_vec()))
-            .collect();
-        let models: Vec<(u32, Vec<f32>)> = bm
-            .iter()
-            .zip(nm)
-            .enumerate()
-            .filter(|(_, (b, n))| !bits_eq(b.as_slice(), n.as_slice()))
-            .map(|(i, (_, n))| (i as u32, n.as_slice().to_vec()))
-            .collect();
-        let scalers_same = bits_eq(base.feat_means(), new.feat_means())
-            && bits_eq(base.feat_stds(), new.feat_stds())
-            && base.target_mean().to_bits() == new.target_mean().to_bits()
-            && base.target_std().to_bits() == new.target_std().to_bits();
-        let scalers = (!scalers_same).then(|| {
-            (
-                new.feat_means().to_vec(),
-                new.feat_stds().to_vec(),
-                new.target_mean(),
-                new.target_std(),
-            )
-        });
-        let canary_same = base.canary_rows().len() == new.canary_rows().len()
-            && base
-                .canary_rows()
-                .iter()
-                .zip(new.canary_rows())
-                .all(|(b, n)| bits_eq(b, n))
-            && bits_eq(base.canary_preds(), new.canary_preds());
-        let canary =
-            (!canary_same).then(|| (new.canary_rows().to_vec(), new.canary_preds().to_vec()));
         Ok(Some(ModelDelta {
             base_hash: fnv1a(base_bytes),
             base_version,
             expected_hash: fnv1a(new_bytes),
-            intercept: new.model().intercept(),
-            dim: ncfg.dim,
-            k: ncfg.models,
-            clusters,
-            models,
-            center,
-            scalers,
-            canary,
+            image_len: new_bytes.len(),
+            runs: spans
+                .into_iter()
+                .map(|(start, end)| (start, new_bytes[start..end].to_vec()))
+                .collect(),
         }))
     }
 
-    /// Number of changed cluster + model hypervectors the delta carries.
-    pub fn changed_vectors(&self) -> usize {
-        self.clusters.len() + self.models.len()
+    /// Number of image bytes the delta rewrites.
+    pub fn patched_bytes(&self) -> usize {
+        self.runs.iter().map(|(_, run)| run.len()).sum()
     }
 
     /// Applies the delta to its base image, returning the patched **full**
@@ -160,9 +100,8 @@ impl ModelDelta {
     ///
     /// # Errors
     ///
-    /// Base hash mismatch (delta applied to the wrong version), malformed
-    /// base, out-of-range patch indices, a changed feature count, or a
-    /// result-hash mismatch.
+    /// Base hash mismatch (delta applied to the wrong version), a base of
+    /// another length than the delta patches, or a result-hash mismatch.
     pub fn apply(&self, base_bytes: &[u8]) -> Result<Vec<u8>, StoreError> {
         let got = fnv1a(base_bytes);
         if got != self.base_hash {
@@ -171,69 +110,19 @@ impl ModelDelta {
                 self.base_hash
             )));
         }
-        let base = ModelBundle::from_bytes(base_bytes).map_err(StoreError::Corrupt)?;
-        let cfg = base.model().config().clone();
-        if cfg.dim != self.dim || cfg.models != self.k {
+        if base_bytes.len() != self.image_len {
             return Err(StoreError::Delta(format!(
-                "shape mismatch: delta is {}x{}, base is {}x{}",
-                self.k, self.dim, cfg.models, cfg.dim
+                "delta patches a {}-byte image, the base has {} bytes",
+                self.image_len,
+                base_bytes.len()
             )));
         }
-        let mut clusters = base.model().clusters().integer_clusters().to_vec();
-        let mut models = base.model().models().integer_models().to_vec();
-        for (idx, data) in &self.clusters {
-            let slot = clusters
-                .get_mut(*idx as usize)
-                .ok_or_else(|| StoreError::Delta(format!("cluster index {idx} out of range")))?;
-            *slot = hdc::RealHv::from_vec(data.clone());
+        let mut bytes = base_bytes.to_vec();
+        // In range: `compute` and the decoder keep every run inside
+        // `image_len` bytes.
+        for (at, run) in &self.runs {
+            bytes[*at..*at + run.len()].copy_from_slice(run);
         }
-        for (idx, data) in &self.models {
-            let slot = models
-                .get_mut(*idx as usize)
-                .ok_or_else(|| StoreError::Delta(format!("model index {idx} out of range")))?;
-            *slot = hdc::RealHv::from_vec(data.clone());
-        }
-        let center = match &self.center {
-            Some(c) => Some(hdc::RealHv::from_vec(c.clone())),
-            None => base.model().center().cloned(),
-        };
-        let (feat_means, feat_stds, target_mean, target_std) = match &self.scalers {
-            // `compute` never changes the feature width, and the base's
-            // encoder is built for it: refuse before rebuilding the model.
-            Some((m, ..)) if m.len() != base.num_features() => {
-                return Err(StoreError::Delta(format!(
-                    "delta changes the feature count from {} to {}",
-                    base.num_features(),
-                    m.len()
-                )));
-            }
-            Some((m, s, tm, ts)) => (m.clone(), s.clone(), *tm, *ts),
-            None => (
-                base.feat_means().to_vec(),
-                base.feat_stds().to_vec(),
-                base.target_mean(),
-                base.target_std(),
-            ),
-        };
-        let (canary_rows, canary_preds) = match &self.canary {
-            Some((r, p)) => (r.clone(), p.clone()),
-            None => (base.canary_rows().to_vec(), base.canary_preds().to_vec()),
-        };
-        let spec = base.spec().clone();
-        let model =
-            RegHdRegressor::from_parts(cfg, spec.build(), clusters, models, center, self.intercept);
-        let patched = ModelBundle::from_parts_with_canary(
-            model,
-            spec,
-            feat_means,
-            feat_stds,
-            target_mean,
-            target_std,
-            canary_rows,
-            canary_preds,
-        )
-        .map_err(StoreError::Delta)?;
-        let bytes = patched.to_bytes().map_err(StoreError::Delta)?;
         let got = fnv1a(&bytes);
         if got != self.expected_hash {
             return Err(StoreError::Delta(format!(
@@ -245,70 +134,34 @@ impl ModelDelta {
     }
 
     /// Serialises the delta (see the module docs for the layout).
+    ///
+    /// # Panics
+    ///
+    /// On a run, or a run count, beyond `u32::MAX`: only an image over
+    /// 4 GiB has one, and the store holds none (a pack location's length
+    /// is a `u32`).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body: Vec<u8> = Vec::new();
-        body.extend_from_slice(&self.base_hash.to_le_bytes());
-        body.extend_from_slice(&self.base_version.to_le_bytes());
-        body.extend_from_slice(&self.expected_hash.to_le_bytes());
-        body.extend_from_slice(&self.intercept.to_le_bytes());
-        body.extend_from_slice(&(self.dim as u64).to_le_bytes());
-        body.extend_from_slice(&(self.k as u64).to_le_bytes());
-        for group in [&self.clusters, &self.models] {
-            body.extend_from_slice(&(group.len() as u32).to_le_bytes());
-            for (idx, data) in group {
-                body.extend_from_slice(&idx.to_le_bytes());
-                for &v in data {
-                    body.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-        match &self.center {
-            None => body.push(0),
-            Some(c) => {
-                body.push(1);
-                for &v in c {
-                    body.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-        match &self.scalers {
-            None => body.push(0),
-            Some((m, s, tm, ts)) => {
-                body.push(1);
-                body.extend_from_slice(&(m.len() as u64).to_le_bytes());
-                for &v in m.iter().chain(s) {
-                    body.extend_from_slice(&v.to_le_bytes());
-                }
-                body.extend_from_slice(&tm.to_le_bytes());
-                body.extend_from_slice(&ts.to_le_bytes());
-            }
-        }
-        match &self.canary {
-            None => body.push(0),
-            Some((rows, preds)) => {
-                body.push(1);
-                body.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-                let width = rows.first().map_or(0, Vec::len) as u64;
-                body.extend_from_slice(&width.to_le_bytes());
-                for row in rows {
-                    for &v in row {
-                        body.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                for &p in preds {
-                    body.extend_from_slice(&p.to_le_bytes());
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(6 + body.len() + 4);
-        out.extend_from_slice(MAGIC);
+        let u32_of = |n: usize| u32::try_from(n).expect("a stored image is under 4 GiB");
+        let mut out = MAGIC.to_vec();
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out.extend_from_slice(&self.base_hash.to_le_bytes());
+        out.extend_from_slice(&self.base_version.to_le_bytes());
+        out.extend_from_slice(&self.expected_hash.to_le_bytes());
+        out.extend_from_slice(&(self.image_len as u64).to_le_bytes());
+        out.extend_from_slice(&u32_of(self.runs.len()).to_le_bytes());
+        for (at, run) in &self.runs {
+            out.extend_from_slice(&(*at as u64).to_le_bytes());
+            out.extend_from_slice(&u32_of(run.len()).to_le_bytes());
+            out.extend_from_slice(run);
+        }
+        let crc = crc32(&out[MAGIC.len() + 2..]);
+        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
-    /// Parses a serialised delta, verifying its trailing checksum.
+    /// Parses a serialised delta, verifying its trailing checksum and that
+    /// every run is non-empty, ascending, non-overlapping and inside the
+    /// image.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         Self::decode(bytes).map_err(StoreError::Delta)
     }
@@ -335,57 +188,36 @@ impl ModelDelta {
         let base_hash = r.u64()?;
         let base_version = r.u64()?;
         let expected_hash = r.u64()?;
-        let intercept = r.f32()?;
-        let dim = r.usize()?;
-        let k = r.usize()?;
-        if dim == 0 || dim > 1 << 24 || k == 0 || k > 1 << 16 {
-            return Err(format!("implausible shape {k}x{dim}"));
+        let image_len = r.usize()?;
+        let count = r.u32()? as usize;
+        // A run takes at least its header and one byte, so the count sizes
+        // the table only once that many bytes are there.
+        if count > r.remaining() / (RUN_HEADER + 1) {
+            return Err(WireError::Truncated.into());
         }
-        let mut group = || -> Result<Vec<(u32, Vec<f32>)>, String> {
-            let count = r.u32()? as usize;
-            if count > 2 * k {
-                return Err(format!("implausible changed-vector count {count}"));
-            }
-            Ok((0..count)
-                .map(|_| Ok((r.u32()?, r.f32s(dim)?)))
-                .collect::<Result<_, WireError>>()?)
-        };
-        let clusters = group()?;
-        let models = group()?;
-        let center = if r.flag()? { Some(r.f32s(dim)?) } else { None };
-        let scalers = if r.flag()? {
-            let n = r.usize()?;
-            if n > 1 << 20 {
-                return Err(format!("implausible feature count {n}"));
-            }
-            Some((r.f32s(n)?, r.f32s(n)?, r.f32()?, r.f32()?))
-        } else {
-            None
-        };
-        let canary = if r.flag()? {
-            let rows = r.usize()?;
-            let width = r.usize()?;
-            if rows > 64 || width > 1 << 20 {
-                return Err(format!("implausible canary shape {rows}x{width}"));
-            }
-            let rs = (0..rows).map(|_| r.f32s(width)).collect::<Result<_, _>>()?;
-            Some((rs, r.f32s(rows)?))
-        } else {
-            None
-        };
+        let mut runs = Vec::with_capacity(count);
+        let mut end = 0;
+        for _ in 0..count {
+            let at = r.usize()?;
+            let len = r.u32()? as usize;
+            end = at
+                .checked_add(len)
+                .filter(|&run_end| len > 0 && at >= end && run_end <= image_len)
+                .ok_or_else(|| {
+                    format!(
+                        "run of {len} bytes at {at} is empty, out of order \
+                         or outside the {image_len}-byte image"
+                    )
+                })?;
+            runs.push((at, r.bytes(len)?.to_vec()));
+        }
         r.finish()?;
         Ok(ModelDelta {
             base_hash,
             base_version,
             expected_hash,
-            intercept,
-            dim,
-            k,
-            clusters,
-            models,
-            center,
-            scalers,
-            canary,
+            image_len,
+            runs,
         })
     }
 }
@@ -393,9 +225,35 @@ impl ModelDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use reghd::config::{ClusterMode, PredictionMode, RegHdConfig};
-    use reghd::Regressor;
-    use reghd_serve::bundle::encoder_spec;
+    use reghd::{RegHdRegressor, Regressor};
+    use reghd_serve::bundle::{encoder_spec, ModelBundle, SectionFrames};
+
+    /// Wire bytes outside the runs: magic, version, four `u64` fields, the
+    /// run count and the CRC.
+    const FIXED: usize = 4 + 2 + 4 * 8 + 4 + 4;
+
+    /// Diffs `base` against `new` and checks the patch: it roundtrips
+    /// through its wire form, which is at most one run header and the
+    /// fixed fields longer than `new`, and applied to `base` it gives
+    /// exactly `new`.
+    fn patch(base: &[u8], new: &[u8]) -> ModelDelta {
+        let delta = ModelDelta::compute(base, 1, new)
+            .unwrap()
+            .expect("equal lengths are delta-able");
+        let wire = delta.to_bytes();
+        assert!(
+            wire.len() <= new.len() + FIXED + RUN_HEADER,
+            "{} wire bytes for a {}-byte image",
+            wire.len(),
+            new.len()
+        );
+        let decoded = ModelDelta::from_bytes(&wire).unwrap();
+        assert_eq!(decoded, delta);
+        assert_eq!(decoded.apply(base).unwrap(), new);
+        delta
+    }
 
     /// Trains a small bundle in the given quantisation modes.
     fn trained(cm: ClusterMode, pm: PredictionMode, seed: u64) -> ModelBundle {
@@ -445,6 +303,44 @@ mod tests {
         ModelBundle::from_trained(model, vec![0.0; 2], vec![1.0; 2], 0.0, 1.0, &rows).unwrap()
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn patch_reproduces_edited_images(
+            base in prop::collection::vec(any::<u8>(), 1..600),
+            edits in prop::collection::vec((any::<u64>(), 1usize..40, 1u8..255), 0..12),
+        ) {
+            // Runs of edits at random offsets, some close enough to merge.
+            let mut new = base.clone();
+            for (at, len, xor) in edits {
+                let at = at as usize % new.len();
+                for b in new.iter_mut().skip(at).take(len) {
+                    *b ^= xor;
+                }
+            }
+            patch(&base, &new);
+        }
+
+        #[test]
+        fn patch_reproduces_unrelated_images(
+            (base, new) in (0usize..600).prop_flat_map(|n| {
+                (prop::collection::vec(any::<u8>(), n), prop::collection::vec(any::<u8>(), n))
+            }),
+        ) {
+            patch(&base, &new);
+        }
+
+        #[test]
+        fn unequal_lengths_are_not_delta_able(
+            base in prop::collection::vec(any::<u8>(), 0..64),
+            new in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            prop_assume!(base.len() != new.len());
+            prop_assert!(ModelDelta::compute(&base, 1, &new).unwrap().is_none());
+        }
+    }
+
     #[test]
     fn roundtrips_bit_exact_across_all_mode_combinations() {
         let probe: Vec<Vec<f32>> = (0..8).map(|i| vec![i as f32 / 4.0, 1.0]).collect();
@@ -459,22 +355,17 @@ mod tests {
                 let base = trained(cm, pm, seed);
                 let new = perturbed(&base);
                 let (base_bytes, new_bytes) = (base.to_bytes().unwrap(), new.to_bytes().unwrap());
-                let delta = ModelDelta::compute(&base_bytes, 1, &new_bytes)
-                    .unwrap()
-                    .expect("same config must be delta-able");
-                // Sparse: only the two perturbed vectors travel.
-                assert!(
-                    delta.changed_vectors() <= 4,
-                    "{cm:?}/{pm:?}: {} changed",
-                    delta.changed_vectors()
-                );
                 // Wire roundtrip, then application — byte-identical to the
                 // full publish, hence identical predictions.
-                let wire = ModelDelta::from_bytes(&delta.to_bytes()).unwrap();
-                assert_eq!(wire, delta);
-                let patched = wire.apply(&base_bytes).unwrap();
-                assert_eq!(patched, new_bytes, "{cm:?}/{pm:?} not bit-exact");
-                let loaded = ModelBundle::from_bytes(&patched).unwrap();
+                let delta = patch(&base_bytes, &new_bytes);
+                // Sparse: the two perturbed vectors travel, with the
+                // intercept, canary predictions and section CRCs.
+                assert!(
+                    delta.patched_bytes() <= 3 * 128 * 4,
+                    "{cm:?}/{pm:?}: {} bytes patched",
+                    delta.patched_bytes()
+                );
+                let loaded = ModelBundle::from_bytes(&new_bytes).unwrap();
                 loaded.run_canary().unwrap();
                 assert_eq!(
                     loaded.predict(&probe).unwrap(),
@@ -503,18 +394,59 @@ mod tests {
     }
 
     #[test]
-    fn config_change_is_not_delta_able() {
+    fn merged_runs_ship_no_more_than_the_changed_vectors_did() {
+        // 1,209 bytes is what the previous format, which shipped the
+        // changed hypervectors, intercept and canary, took for this pair.
+        // Unmerged, the ~200 runs between coincidentally equal bytes would
+        // take more than the whole image.
+        let base = trained(ClusterMode::Integer, PredictionMode::Full, 7);
+        let new_bytes = perturbed(&base).to_bytes().unwrap();
+        let delta = patch(&base.to_bytes().unwrap(), &new_bytes);
+        assert!(
+            delta.to_bytes().len() <= 1_209,
+            "{}",
+            delta.to_bytes().len()
+        );
+    }
+
+    #[test]
+    fn equal_length_config_change_patches_to_the_new_image() {
+        // Another cluster and prediction mode: the same image length, so
+        // a delta, gated like any other by both hashes and by the store's
+        // canary replay of the patched image.
         let a = trained(ClusterMode::Integer, PredictionMode::Full, 8);
         let b = trained(ClusterMode::FrameworkBinary, PredictionMode::BinaryQuery, 8);
-        let d = ModelDelta::compute(&a.to_bytes().unwrap(), 1, &b.to_bytes().unwrap()).unwrap();
+        let (a, b) = (a.to_bytes().unwrap(), b.to_bytes().unwrap());
+        assert_eq!(a.len(), b.len());
+        patch(&a, &b);
+        ModelBundle::from_bytes(&b).unwrap().run_canary().unwrap();
+    }
+
+    #[test]
+    fn length_change_is_not_delta_able() {
+        // Fewer canary rows make a shorter image, published whole.
+        let a = trained(ClusterMode::Integer, PredictionMode::Full, 14);
+        let a_bytes = a.to_bytes().unwrap();
+        let (rows, preds) = (
+            a.canary_rows()[..4].to_vec(),
+            a.canary_preds()[..4].to_vec(),
+        );
+        let b = ModelBundle::from_bytes(&a_bytes)
+            .unwrap()
+            .with_canary(rows, preds)
+            .unwrap();
+        let d = ModelDelta::compute(&a_bytes, 1, &b.to_bytes().unwrap()).unwrap();
         assert!(d.is_none());
     }
 
     #[test]
-    fn spec_change_is_not_delta_able() {
-        // Same config and learned state under another encoder seed: a
-        // delta carries no spec, so it cannot express the change.
+    fn spec_change_with_an_empty_canary_is_not_delta_able() {
+        // Same config and learned state under another encoder seed, in a
+        // bundle with no canary rows: the missing rows shorten the image,
+        // which is why no delta can express the change. A spec change
+        // alone keeps the length and patches like any other change.
         let a = trained(ClusterMode::Integer, PredictionMode::Full, 13);
+        let a_bytes = a.to_bytes().unwrap();
         let encoding::EncoderSpec::Nonlinear {
             input_dim,
             dim,
@@ -536,10 +468,14 @@ mod tests {
             a.model().center().cloned(),
             a.model().intercept(),
         );
-        let (m, s) = (a.feat_means().to_vec(), a.feat_stds().to_vec());
-        let b = ModelBundle::from_parts_with_canary(model, spec, m, s, 0.0, 1.0, vec![], vec![])
-            .unwrap();
-        let d = ModelDelta::compute(&a.to_bytes().unwrap(), 1, &b.to_bytes().unwrap()).unwrap();
+        // A v1 image (scalers, then the model blob) carries no canary.
+        let mut v1 = b"RGCL".to_vec();
+        v1.extend(1u16.to_le_bytes());
+        v1.extend(SectionFrames::parse(&a_bytes).unwrap().scalers().unwrap());
+        reghd::persist::save(&model, &spec, &mut v1).unwrap();
+        let b = ModelBundle::from_bytes(&v1).unwrap();
+        assert_eq!(b.spec(), &spec);
+        let d = ModelDelta::compute(&a_bytes, 1, &b.to_bytes().unwrap()).unwrap();
         assert!(d.is_none());
     }
 
@@ -556,15 +492,23 @@ mod tests {
     }
 
     #[test]
-    fn delta_changing_the_feature_count_is_rejected() {
+    fn delta_for_another_image_length_is_refused() {
+        // A forged `image_len`, re-signed: the runs still fit inside it,
+        // so the delta decodes, and `apply` refuses the base's length.
         let base = trained(ClusterMode::Integer, PredictionMode::Full, 12);
         let base_bytes = base.to_bytes().unwrap();
-        let mut delta = ModelDelta::compute(&base_bytes, 1, &perturbed(&base).to_bytes().unwrap())
+        let delta = ModelDelta::compute(&base_bytes, 1, &perturbed(&base).to_bytes().unwrap())
             .unwrap()
             .unwrap();
-        delta.scalers = Some((vec![0.0; 3], vec![1.0; 3], 0.0, 1.0));
-        let err = delta.apply(&base_bytes).unwrap_err();
-        assert!(err.to_string().contains("feature count"), "{err}");
+        let mut wire = delta.to_bytes();
+        let image_len = (base_bytes.len() as u64 + 1).to_le_bytes();
+        wire[30..38].copy_from_slice(&image_len);
+        let end = wire.len() - 4;
+        let crc = crc32(&wire[6..end]);
+        wire[end..].copy_from_slice(&crc.to_le_bytes());
+        let forged = ModelDelta::from_bytes(&wire).unwrap();
+        let err = forged.apply(&base_bytes).unwrap_err();
+        assert!(err.to_string().contains("-byte image"), "{err}");
     }
 
     #[test]
@@ -586,7 +530,7 @@ mod tests {
         let base = trained(ClusterMode::Integer, PredictionMode::Full, 12);
         let bytes = base.to_bytes().unwrap();
         let delta = ModelDelta::compute(&bytes, 3, &bytes).unwrap().unwrap();
-        assert_eq!(delta.changed_vectors(), 0);
+        assert_eq!(delta.patched_bytes(), 0);
         assert_eq!(delta.base_version, 3);
         assert_eq!(delta.apply(&bytes).unwrap(), bytes);
     }

@@ -19,10 +19,11 @@
 //!   byte budget with hit/miss/eviction counters; everything else stays
 //!   cold on disk until resolved.
 //! * **Delta publication** ([`delta::ModelDelta`]) — the streaming trainer
-//!   republishes only the cluster/model hypervectors that changed since
-//!   the last publish; the store applies the delta to the base image and
-//!   verifies the result hashes to the exact bytes a full publish would
-//!   have produced. Publication is canary-gated, and a key whose current
+//!   republishes only the byte runs of its image that changed since the
+//!   last publish (the cluster/model hypervectors it touched); the store
+//!   patches the base image without decoding it and verifies the result
+//!   hashes to the exact bytes a full publish would have produced.
+//!   Publication is canary-gated, and a key whose current
 //!   image fails validation on first touch rolls back to its last-good
 //!   version — per key, without disturbing any other resident model.
 //!

@@ -21,10 +21,11 @@
 //! canary-gated: the incoming (or patched) bundle must parse, pass every
 //! section checksum, and replay its canary bit-exactly *before* the index
 //! is updated. The previous image becomes the key's last-good fallback.
-//! Deltas are applied to the key's current image and verified to
-//! reproduce the exact bytes of the full bundle the sender diffed
-//! ([`ModelDelta::apply`]), so a base+delta chain can never drift from
-//! full publishes.
+//! A delta is a byte patch of the key's current image, checked against
+//! the hashes of that image and of the full bundle the sender diffed
+//! ([`ModelDelta::apply`], which decodes nothing); the patched image then
+//! passes the same gate as a full publish, so a base+delta chain can
+//! never drift from full publishes.
 
 use crate::delta::ModelDelta;
 use crate::faults::StoreFaultInjector;
@@ -366,14 +367,16 @@ impl ModelStore {
         validate_key(key)?;
         let bundle = canary_checked(bytes)?;
         self.publishes.fetch_add(1, Ordering::Relaxed);
+        let hash = fnv1a(bytes);
         let mut shard = lock_shard(self.shard_for(key));
-        self.admit(&mut shard, key, bytes, &bundle)
+        self.admit(&mut shard, key, bytes, hash, &bundle)
     }
 
     /// Applies a delta to `key`'s current image and admits the patched
     /// full bundle. The delta must target the key's current version and
     /// hash, and the patched bytes must hash to the full bundle the
-    /// sender diffed — so base+delta is bit-identical to a full publish.
+    /// sender diffed — so base+delta is bit-identical to a full publish —
+    /// and pass the same canary gate; that gate is the one decode.
     pub fn publish_delta(&self, key: &str, delta: &ModelDelta) -> Result<ModelMeta, StoreError> {
         validate_key(key)?;
         let mut shard = lock_shard(self.shard_for(key));
@@ -387,20 +390,21 @@ impl ModelStore {
                 delta.base_version, state.current.version
             )));
         }
-        let base = shard.packs.read(state.current.loc)?.into_owned();
-        let patched = delta.apply(&base)?;
+        let patched = delta.apply(&shard.packs.read(state.current.loc)?)?;
         let bundle = canary_checked(&patched)?;
         self.delta_publishes.fetch_add(1, Ordering::Relaxed);
-        self.admit(&mut shard, key, &patched, &bundle)
+        // `apply` has checked the patched bytes against this hash.
+        self.admit(&mut shard, key, &patched, delta.expected_hash, &bundle)
     }
 
-    /// Appends an already-validated image and updates index, log, and hot
-    /// cache.
+    /// Appends an already-validated image, whose FNV-1a is `hash`, and
+    /// updates index, log, and hot cache.
     fn admit(
         &self,
         shard: &mut Shard,
         key: &str,
         bytes: &[u8],
+        hash: u64,
         bundle: &ModelBundle,
     ) -> Result<ModelMeta, StoreError> {
         let loc = shard.packs.append(bytes)?;
@@ -411,7 +415,6 @@ impl ModelStore {
         }
         let prev = shard.index.get(key).copied();
         let version = prev.map(|s| s.current.version + 1).unwrap_or(1);
-        let hash = fnv1a(bytes);
         let image = ImageRef { version, loc, hash };
         let state = KeyState {
             current: image,
@@ -990,9 +993,7 @@ mod tests {
         let base = bundle(50).to_bytes().unwrap();
         store.publish_full("u", &base).unwrap();
 
-        // The "next training step": perturb via a fresh bundle from the
-        // same config family won't delta (different seed ⇒ different
-        // config), so patch the base instead.
+        // The "next training step": the base with one cluster perturbed.
         let mut next = ModelBundle::from_bytes(&base).unwrap();
         let rows = next.canary_rows().to_vec();
         let model = next.model();

@@ -41,8 +41,8 @@ fn base() -> &'static [u8] {
     BYTES.get_or_init(|| bundle_bytes(0.0))
 }
 
-/// Two valid deltas on [`base`]: one carrying every section (changed
-/// clusters, models, centre, scalers and canary) and the empty one.
+/// Two valid deltas on [`base`]: one patching runs in every section
+/// (scalers, canary and model) and the empty one.
 fn valid_deltas() -> &'static [Vec<u8>; 2] {
     static DELTAS: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
     DELTAS.get_or_init(|| {
@@ -58,13 +58,9 @@ fn u32_at(bytes: &[u8], at: usize) -> usize {
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
 }
 
-fn u64_at(bytes: &[u8], at: usize) -> usize {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
-}
-
 /// Every header field of a valid delta as `(offset, width)`, walked from
-/// the layout in `reghd_store::delta`'s docs. Each payload vector is
-/// represented by its first value.
+/// the layout in `reghd_store::delta`'s docs. Each run's bytes are
+/// represented by the first one.
 fn fields(bytes: &[u8]) -> Vec<(usize, usize)> {
     let mut f = vec![
         (0, 4),  // magic
@@ -72,42 +68,13 @@ fn fields(bytes: &[u8]) -> Vec<(usize, usize)> {
         (6, 8),  // base_hash
         (14, 8), // base_version
         (22, 8), // expected_hash
-        (30, 4), // intercept
-        (34, 8), // dim
-        (42, 8), // k
+        (30, 8), // image_len
+        (38, 4), // run count
     ];
-    let dim = u64_at(bytes, 34);
-    let mut at = 50;
-    for _ in 0..2 {
-        let count = u32_at(bytes, at);
-        f.push((at, 4));
-        at += 4;
-        for _ in 0..count {
-            f.extend([(at, 4), (at + 4, 4)]);
-            at += 4 + 4 * dim;
-        }
-    }
-    f.push((at, 1));
-    at += 1;
-    if bytes[at - 1] == 1 {
-        f.push((at, 4));
-        at += 4 * dim;
-    }
-    f.push((at, 1));
-    at += 1;
-    if bytes[at - 1] == 1 {
-        let n = u64_at(bytes, at);
-        f.extend([(at, 8), (at + 8, 4)]);
-        at += 8 + 8 * n;
-        f.extend([(at, 4), (at + 4, 4)]);
-        at += 8;
-    }
-    f.push((at, 1));
-    at += 1;
-    if bytes[at - 1] == 1 {
-        let (rows, width) = (u64_at(bytes, at), u64_at(bytes, at + 8));
-        f.extend([(at, 8), (at + 8, 8), (at + 16, 4)]);
-        at += 16 + 4 * (rows * width + rows);
+    let mut at = 42;
+    for _ in 0..u32_at(bytes, 38) {
+        f.extend([(at, 8), (at + 8, 4), (at + 12, 1)]);
+        at += 12 + u32_at(bytes, at + 8);
     }
     assert_eq!(at + 4, bytes.len(), "walk must end at the CRC");
     f.push((at, 4));
@@ -131,8 +98,8 @@ fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Values a rewritten field takes: small counts and flags, the decoder's
-/// plausibility limits and their neighbours, and arbitrary words.
+/// Values a rewritten field takes: small counts, offsets and lengths,
+/// large powers of two, the `u32` and `u64` limits, and arbitrary words.
 fn field_value() -> impl Strategy<Value = u64> {
     prop_oneof![
         0u64..4,
@@ -161,17 +128,18 @@ proptest! {
 
     #[test]
     fn resigned_arbitrary_bodies_decode_or_refuse(
-        hashes in prop::collection::vec(any::<u8>(), 28),
-        dim in 0u64..4,
-        k in 0u64..3,
+        hashes in prop::collection::vec(any::<u8>(), 24),
+        image_len in 0u64..64,
+        count in 0u32..4,
         tail in prop::collection::vec(any::<u8>(), 0..MAX_INPUT + 1),
     ) {
-        // A plausible shape, so the random tail reaches the section parsers.
+        // A small image and run count, so the random tail reaches the run
+        // parser.
         let mut bytes = b"RGDL".to_vec();
-        bytes.extend(1u16.to_le_bytes());
+        bytes.extend(2u16.to_le_bytes());
         bytes.extend(hashes);
-        bytes.extend(dim.to_le_bytes());
-        bytes.extend(k.to_le_bytes());
+        bytes.extend(image_len.to_le_bytes());
+        bytes.extend(count.to_le_bytes());
         bytes.extend(tail);
         bytes.extend([0; 4]);
         resign(&mut bytes);

@@ -250,8 +250,7 @@ impl Trainer {
     /// disagrees with `cfg`.
     pub fn resume(cfg: TrainerConfig, input_dim: usize, path: &str) -> Result<Self, String> {
         let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let (model, spec) =
-            persist::load_online_for(&bytes, input_dim).map_err(|e| e.to_string())?;
+        let (model, spec) = persist::load_online(&bytes, input_dim).map_err(|e| e.to_string())?;
         let mut t = Self::new(cfg, input_dim);
         if model.config().dim != t.cfg.dim || model.config().models != t.cfg.models {
             return Err(format!(
@@ -283,9 +282,9 @@ impl Trainer {
     /// Attaches a store target: every checkpoint is also published into
     /// the persistent model store under the target's key. The first
     /// checkpoint ships the full bundle; subsequent ones ship a sparse
-    /// [`reghd_store::ModelDelta`] (only the hypervectors that changed),
-    /// falling back to a full publish whenever the update is not
-    /// delta-able or the delta is refused.
+    /// [`reghd_store::ModelDelta`] (only the byte runs of the image that
+    /// changed), falling back to a full publish whenever the image's
+    /// length changed or the delta is refused.
     pub fn with_store_publish(mut self, target: StoreTarget) -> Self {
         self.store_publish = Some(target);
         self

@@ -91,7 +91,7 @@ fn main() {
     snapshot.fit(&window_x, &window_y);
     let path = std::env::temp_dir().join("streaming_sensor_model.rghd");
     persist::save_to_file(&snapshot, &spec, &path).expect("save model");
-    let (loaded, _) = persist::load_from_file(&path).expect("load model");
+    let (loaded, _) = persist::load_from_file(&path, probe.len()).expect("load model");
     assert_eq!(loaded.predict_one(&probe), snapshot.predict_one(&probe));
     println!(
         "\nsnapshot persisted to {} ({} bytes) and reloaded bit-exactly.",

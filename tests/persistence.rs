@@ -43,7 +43,7 @@ fn roundtrip_preserves_predictions_on_real_workload() {
         let (model, spec, test_x, _) = trained_on_paper_data(pred);
         let mut buf = Vec::new();
         persist::save(&model, &spec, &mut buf).expect("save");
-        let (loaded, _) = persist::load(&buf).expect("load");
+        let (loaded, _) = persist::load(&buf, spec.input_dim()).expect("load");
         for x in test_x.iter().take(20) {
             assert_eq!(
                 loaded.predict_one(x),
@@ -59,7 +59,7 @@ fn roundtrip_preserves_quality() {
     let (model, spec, test_x, test_y) = trained_on_paper_data(PredictionMode::Full);
     let mut buf = Vec::new();
     persist::save(&model, &spec, &mut buf).expect("save");
-    let (loaded, _) = persist::load(&buf).expect("load");
+    let (loaded, _) = persist::load(&buf, spec.input_dim()).expect("load");
     let mse_orig = datasets::metrics::mse(&model.predict(&test_x), &test_y);
     let mse_loaded = datasets::metrics::mse(&loaded.predict(&test_x), &test_y);
     assert_eq!(mse_orig, mse_loaded);
@@ -71,7 +71,7 @@ fn loaded_model_supports_refinement() {
     let (model, spec, test_x, test_y) = trained_on_paper_data(PredictionMode::Full);
     let mut buf = Vec::new();
     persist::save(&model, &spec, &mut buf).expect("save");
-    let (mut loaded, _) = persist::load(&buf).expect("load");
+    let (mut loaded, _) = persist::load(&buf, spec.input_dim()).expect("load");
     let report = loaded.refine(&test_x[..50], &test_y[..50], 3);
     assert_eq!(report.epochs, 3);
     assert!(report.train_mse_history.iter().all(|m| m.is_finite()));
@@ -82,7 +82,7 @@ fn loaded_model_supports_sparsification_and_diagnostics() {
     let (model, spec, test_x, _) = trained_on_paper_data(PredictionMode::Full);
     let mut buf = Vec::new();
     persist::save(&model, &spec, &mut buf).expect("save");
-    let (mut loaded, _) = persist::load(&buf).expect("load");
+    let (mut loaded, _) = persist::load(&buf, spec.input_dim()).expect("load");
     let diag = loaded.diagnostics(&test_x[..50]);
     assert_eq!(diag.cluster_histogram.iter().sum::<usize>(), 50);
     let report = loaded.sparsify_models(0.5);

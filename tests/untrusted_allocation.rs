@@ -9,10 +9,10 @@
 //!
 //! The inputs are the hostile images that once over-allocated (a
 //! hypervector `dim` near the plausibility cap with no components behind
-//! it, a scaler count with no values, an RGDL vector with no data, an
-//! encoder spec wider than the bundle's scalers), plus truncations and
-//! count-field rewrites of a small trained bundle, model file, delta and
-//! set of RGNP frames.
+//! it, a scaler count with no values, an RGDL delta announcing data it
+//! does not carry, an encoder spec wider than the bundle's scalers or the
+//! caller's rows), plus truncations and count-field rewrites of a small
+//! trained bundle, model file, delta and set of RGNP frames.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -209,8 +209,8 @@ fn crafted_images_have_their_documented_shapes() {
     // The untouched images decode.
     let clean = v2_image([&scalers(1), &NO_CANARY, &blob(1, 64)]);
     ModelBundle::from_bytes(&clean).unwrap();
-    persist::load(&blob(1, 64)).unwrap();
-    ModelDelta::from_bytes(&delta_with_unbacked_vector(64)).unwrap();
+    persist::load(&blob(1, 64), 1).unwrap();
+    ModelDelta::from_bytes(&delta_with_unbacked_run(64)).unwrap();
 }
 
 #[test]
@@ -222,7 +222,7 @@ fn hypervector_dim_without_components_allocates_nothing_for_it() {
     failures.extend(over_allocation(
         "evidence 1 persist::load",
         &blob_with_unbacked_dim(),
-        persist::load,
+        |b| persist::load(b, 1),
     ));
     assert_none(failures);
 }
@@ -238,22 +238,20 @@ fn scaler_count_without_values_allocates_nothing_for_it() {
     assert_none(bundle_decoders("evidence 2", &image));
 }
 
-/// A re-signed RGDL delta for a `dim`-wide, one-model shape carrying one
-/// changed cluster with no data (Evidence 3 at `dim` = 2^24); at a small
-/// `dim`, the same layout with its data, the empty tail flags and the CRC.
-fn delta_with_unbacked_vector(dim: u64) -> Vec<u8> {
-    let mut body = vec![0u8; 28]; // base hash, base version, expected hash, intercept
-    body.extend(dim.to_le_bytes());
-    body.extend(1u64.to_le_bytes());
-    body.extend(1u32.to_le_bytes()); // one changed cluster …
-    body.extend(0u32.to_le_bytes()); // … at index 0
-    if dim < 1 << 10 {
-        body.extend(vec![0u8; 4 * dim as usize]);
-        body.extend([0u8; 4]); // no changed models
-        body.extend([0u8; 3]); // centre, scalers and canary unchanged
+/// A re-signed RGDL delta for a `len`-byte image carrying one run of `len`
+/// bytes at offset 0 with no bytes behind its header (Evidence 3 at `len`
+/// = `u32::MAX`); at a small `len`, the same layout with the run's bytes.
+fn delta_with_unbacked_run(len: u32) -> Vec<u8> {
+    let mut body = vec![0u8; 24]; // base hash, base version, expected hash
+    body.extend(u64::from(len).to_le_bytes()); // image length
+    body.extend(1u32.to_le_bytes()); // one run …
+    body.extend(0u64.to_le_bytes()); // … at offset 0 …
+    body.extend(len.to_le_bytes()); // … of `len` bytes
+    if len < 1 << 10 {
+        body.extend(vec![0u8; len as usize]);
     }
     let mut out = b"RGDL".to_vec();
-    out.extend(1u16.to_le_bytes());
+    out.extend(2u16.to_le_bytes());
     out.extend(&body);
     out.extend(crc32(&body).to_le_bytes());
     out
@@ -261,9 +259,9 @@ fn delta_with_unbacked_vector(dim: u64) -> Vec<u8> {
 
 #[test]
 fn delta_vector_without_data_allocates_nothing_for_it() {
-    // Evidence 3: a 62-byte delta announcing one 2^24-wide vector.
-    let delta = delta_with_unbacked_vector(1 << 24);
-    assert_eq!(delta.len(), 62);
+    // Evidence 3: a 58-byte delta announcing one run of u32::MAX bytes.
+    let delta = delta_with_unbacked_run(u32::MAX);
+    assert_eq!(delta.len(), 58);
     assert_none(
         over_allocation("evidence 3", &delta, ModelDelta::from_bytes)
             .into_iter()
@@ -475,32 +473,35 @@ fn bundle_decoders_stay_bounded_on_generated_images() {
 }
 
 #[test]
+fn spec_wider_than_the_rows_is_refused_before_the_encoder_is_built() {
+    // A 2.7 KB trained model file (four features, D = 128) whose spec
+    // `input_dim` is rewritten to 2^20: within the spec cap, so only the
+    // caller's width stands between it and a 512 MiB encoder table.
+    let mut b = images().blob.clone();
+    assert_eq!(b.len(), 2_710);
+    put_u64(&mut b, SPEC_INPUT_DIM, 1 << 20);
+    LARGEST.with(|l| l.set(0));
+    let err = persist::load(&b, 4).unwrap_err();
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        matches!(err, persist::PersistError::Width { encoded, expected: 4 } if encoded == 1 << 20),
+        "{err}"
+    );
+    assert!(largest <= 1 << 20, "{largest}-byte allocation");
+}
+
+#[test]
 fn persist_loaders_stay_bounded_on_generated_files() {
-    // A truncated file is always refused, so truncations go through the
-    // plain loaders. Count rewrites go through the width-checked forms, as
-    // the bundle and the trainer load: a rewritten width within the cap
-    // (2^20 features at D = 128) is a valid file that builds a 512 MiB
-    // encoder, and the width check is the only refusal the plain forms lack.
     let im = images();
     let mut failures = Vec::new();
-    for b in truncations(&im.blob) {
-        failures.extend(over_allocation("persist::load", &b, persist::load));
-    }
-    for b in count_rewrites(&im.blob, 8, unsigned) {
-        failures.extend(over_allocation("persist::load_for", &b, |b| {
-            persist::load_for(b, 4)
+    for b in truncations(&im.blob).chain(count_rewrites(&im.blob, 8, unsigned)) {
+        failures.extend(over_allocation("persist::load", &b, |b| {
+            persist::load(b, 4)
         }));
     }
-    for b in truncations(&im.online) {
-        failures.extend(over_allocation(
-            "persist::load_online",
-            &b,
-            persist::load_online,
-        ));
-    }
-    for b in count_rewrites(&im.online, 8, unsigned) {
-        failures.extend(over_allocation("persist::load_online_for", &b, |b| {
-            persist::load_online_for(b, 4)
+    for b in truncations(&im.online).chain(count_rewrites(&im.online, 8, unsigned)) {
+        failures.extend(over_allocation("persist::load_online", &b, |b| {
+            persist::load_online(b, 4)
         }));
     }
     assert_none(failures);
